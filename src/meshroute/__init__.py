@@ -1,5 +1,7 @@
 """QoS-aware, interference-sensitive routing for multi-channel multi-radio
-wireless mesh graphs via a hybrid PSO-GA metaheuristic."""
+wireless mesh graphs via a hybrid PSO-GA metaheuristic.
+
+numpy is the only runtime dependency."""
 
 from .topology import (
     DEFAULT_IFACTOR_TABLE,

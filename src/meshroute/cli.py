@@ -70,10 +70,11 @@ def default_source(topo: MeshTopology, percentile: float = 0.25) -> int:
     difficulty of the routing problem scales with network size instead of
     depending on which node happened to be labelled first.
     """
-    gateways = set(topo.gateways)
-    ranked = sorted((min(topo.shortest_path_cost(n.id, g) for g in gateways),
-                     n.id)
-                    for n in topo.nodes if n.id not in gateways)
+    # One Dijkstra from all gateways at once: links are undirected, so a
+    # node's cost from its nearest gateway is its cost to it.
+    cost = topo.costs_from(sorted(topo.gateways))
+    ranked = sorted((cost[n], n) for n in range(topo.node_count)
+                    if n not in topo.gateways)
     if not ranked:
         raise TopologyError("every node is a gateway")
     return ranked[int(len(ranked) * percentile)][1]

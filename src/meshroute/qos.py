@@ -168,12 +168,13 @@ def fitness(topo: MeshTopology, path: list[int], req: QosRequest,
     Accepts arbitrary node sequences: anything that fails validation gets
     the infeasible sentinel instead of raising.
     """
-    if not validate_path(topo, path, require_gateway=False):
+    try:
+        metrics = path_metrics(topo, path)
+    except InvalidPathError:
         sentinel = infeasible_sentinel(topo, coeffs)
         return FitnessBreakdown(objective=sentinel, penalty=0.0, total=sentinel,
                                 terms={k: 0.0 for k in PENALTY_TERMS},
                                 feasible=False, valid=False)
-    metrics = path_metrics(topo, path)
     p, terms = penalty(metrics, req, coeffs)
     return FitnessBreakdown(
         objective=metrics.cost,

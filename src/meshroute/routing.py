@@ -172,7 +172,7 @@ def repair_path(raw: list[int], ctx: RouteContext) -> list[int] | None:
         u = stitched[-1]
         if v == u:
             continue
-        if v in ctx.topo.neighbors(u):
+        if ctx.topo.adjacent(u, v):
             stitched.append(v)
         else:
             sub = ctx.min_cost_path(u, v)
@@ -215,7 +215,7 @@ def _restricted_min_path(topo: MeshTopology, start: int, goal: int,
             return path[::-1]
         if d > dist.get(u, math.inf):
             continue
-        for v in sorted(topo.neighbors(u)):
+        for v in topo.neighbors(u):
             if v in forbidden and v != goal:
                 continue
             nd = d + topo.link(u, v).cost
@@ -240,7 +240,7 @@ def random_walk_path(ctx: RouteContext, rng: random.Random,
         path = [ctx.source]
         visited = {ctx.source}
         while len(path) <= topo.node_count:
-            options = [v for v in sorted(topo.neighbors(path[-1]))
+            options = [v for v in topo.neighbors(path[-1])
                        if v not in visited]
             if not options:
                 break

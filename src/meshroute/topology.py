@@ -6,16 +6,21 @@ and a non-empty set of gateway nodes that terminate routes.  Every link
 carries scalar QoS weights (cost, bandwidth, delay, jitter, loss probability)
 plus a normalized interference factor derived from channel separation against
 its neighboring links.
+
+The graph is held in plain per-node tuples built once at construction, and
+shortest paths come from one heapq Dijkstra over dense distance/predecessor
+lists; numpy (used by the generator) is the only third-party dependency.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 # Normalized interference vs channel separation for 2.4 GHz partially
@@ -79,6 +84,13 @@ class Link:
     def __post_init__(self):
         if self.u == self.v:
             raise TopologyError("self-loop link")
+        if not 1 <= self.channel <= NUM_CHANNELS:
+            raise TopologyError(
+                f"link {self.u}-{self.v} channel outside 1..{NUM_CHANNELS}")
+        if not all(map(math.isfinite, (self.cost, self.bandwidth, self.delay,
+                                       self.jitter, self.loss_prob,
+                                       self.i_factor))):
+            raise TopologyError(f"link {self.u}-{self.v} has a non-finite weight")
         if self.cost <= 0 or self.bandwidth <= 0:
             raise TopologyError("cost and bandwidth must be positive")
         if self.delay < 0 or self.jitter < 0:
@@ -158,12 +170,17 @@ class MeshTopology:
         if not self.gateways <= {n.id for n in self.nodes}:
             raise TopologyError("gateways must be topology nodes")
         self.transmission_range = float(transmission_range)
-        self._adj: dict[int, frozenset[int]] = {}
-        adj: dict[int, set[int]] = {n.id: set() for n in self.nodes}
-        for (u, v) in self._links:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = {k: frozenset(s) for k, s in adj.items()}
+        # Dijkstra relaxes neighbours in link insertion order, which fixes
+        # how equal-cost ties break; everything else reads the sorted tuples
+        # or the sets.
+        weighted: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
+        for (u, v), link in self._links.items():
+            weighted[u].append((v, link.cost))
+            weighted[v].append((u, link.cost))
+        self._weighted_adj = tuple(tuple(w) for w in weighted)
+        self._adj = tuple(tuple(sorted(v for v, _ in w)) for w in weighted)
+        self._adj_sets = tuple(frozenset(a) for a in self._adj)
+        self._dijkstra_cache: dict[int, tuple[list[float], list[int]]] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -178,48 +195,93 @@ class MeshTopology:
     def link(self, u: int, v: int) -> Link | None:
         return self._links.get((u, v) if u < v else (v, u))
 
-    def neighbors(self, u: int) -> frozenset[int]:
+    def neighbors(self, u: int) -> tuple[int, ...]:
+        """Neighbours of ``u`` in ascending id order."""
         return self._adj[u]
+
+    def adjacent(self, u: int, v: int) -> bool:
+        """True iff a link joins ``u`` and ``v``."""
+        return v in self._adj_sets[u]
 
     def has_node(self, u: int) -> bool:
         return 0 <= u < len(self.nodes)
-
-    @cached_property
-    def graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(n.id for n in self.nodes)
-        for (u, v), link in self._links.items():
-            g.add_edge(u, v, weight=link.cost)
-        return g
 
     @cached_property
     def max_link_cost(self) -> float:
         return max((l.cost for l in self._links.values()), default=0.0)
 
     def is_connected(self) -> bool:
-        return nx.is_connected(self.graph)
+        return UNREACHABLE not in self._source_dijkstra(0)[0]
 
     # -- shortest paths ----------------------------------------------------
 
-    def _source_dijkstra(self, source: int) -> tuple[dict, dict]:
-        cache = self.__dict__.setdefault("_dijkstra_cache", {})
-        if source not in cache:
-            costs, paths = nx.single_source_dijkstra(self.graph, source)
-            cache[source] = (costs, paths)
-        return cache[source]
+    def _dijkstra(self, sources: Iterable[int]) -> tuple[list[float], list[int]]:
+        """Least link-cost sum from the nearest source to every node, and
+        each node's predecessor on that path (-1 at sources and unreached
+        nodes).
+
+        Equal-cost ties break as pinned in tests/test_behaviour_pin.py:
+        heap entries are (distance, push counter, node), neighbours are
+        relaxed in link insertion order, a node's entry is replaced only on
+        a strictly smaller distance, and settled nodes are skipped.  Costs
+        are positive, so a settled node is never improved and a popped entry
+        is stale exactly when its distance exceeds the node's.
+        """
+        dist = [UNREACHABLE] * len(self.nodes)
+        pred = [-1] * len(self.nodes)
+        heap: list[tuple[float, int, int]] = []
+        pushes = 0
+        for s in sources:
+            if dist[s] != 0.0:
+                dist[s] = 0.0
+                heap.append((0.0, pushes, s))
+                pushes += 1
+        adj = self._weighted_adj
+        heappush, heappop = heapq.heappush, heapq.heappop
+        while heap:
+            d, _, u = heappop(heap)
+            if d > dist[u]:
+                continue
+            for v, cost in adj[u]:
+                nd = d + cost
+                if nd < dist[v]:
+                    dist[v] = nd
+                    pred[v] = u
+                    heappush(heap, (nd, pushes, v))
+                    pushes += 1
+        return dist, pred
+
+    def _source_dijkstra(self, source: int) -> tuple[list[float], list[int]]:
+        tree = self._dijkstra_cache.get(source)
+        if tree is None:
+            tree = self._dijkstra_cache[source] = self._dijkstra((source,))
+        return tree
+
+    def costs_from(self, sources: Iterable[int]) -> list[float]:
+        """Per node, the least link-cost sum from its nearest source
+        (UNREACHABLE when no source reaches it); one uncached Dijkstra."""
+        sources = list(sources)
+        if not all(self.has_node(s) for s in sources):
+            raise TopologyError("unknown node id")
+        return self._dijkstra(sources)[0]
 
     def shortest_path_cost(self, source: int, target: int) -> float:
         """Minimal sum of link costs, or the UNREACHABLE marker (inf)."""
         if not (self.has_node(source) and self.has_node(target)):
             raise TopologyError("unknown node id")
-        costs, _ = self._source_dijkstra(source)
-        return costs.get(target, UNREACHABLE)
+        return self._source_dijkstra(source)[0][target]
 
     def shortest_path(self, source: int, target: int) -> list[int] | None:
         if not (self.has_node(source) and self.has_node(target)):
             raise TopologyError("unknown node id")
-        _, paths = self._source_dijkstra(source)
-        return paths.get(target)
+        dist, pred = self._source_dijkstra(source)
+        if dist[target] == UNREACHABLE:
+            return None
+        path = [target]
+        while path[-1] != source:
+            path.append(pred[path[-1]])
+        path.reverse()
+        return path
 
     # -- serialization -----------------------------------------------------
 
@@ -280,7 +342,7 @@ def validate_path(topo: MeshTopology, path: list[int],
     if len(set(path)) != len(path):
         return False
     for u, v in zip(path, path[1:]):
-        if v not in topo.neighbors(u):
+        if not topo.adjacent(u, v):
             return False
     if require_gateway and path[-1] not in topo.gateways:
         return False
@@ -319,7 +381,7 @@ def enumerate_simple_paths(topo: MeshTopology, source: int,
             return
         if len(stack) - 1 >= max_hops:
             return
-        for nxt in sorted(topo.neighbors(stack[-1])):
+        for nxt in topo.neighbors(stack[-1]):
             if nxt in on_path:
                 continue
             stack.append(nxt)
@@ -332,6 +394,17 @@ def enumerate_simple_paths(topo: MeshTopology, source: int,
 
 
 # -- generation ------------------------------------------------------------
+
+# Relative slack on numpy distances when shortlisting pairs for the exact
+# math.dist test; rounding differences are a few ulps.
+_SLACK = 1.0 + 1e-9
+
+
+def _distances(ax: np.ndarray, ay: np.ndarray,
+               bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """Euclidean distance between every point a and every point b."""
+    return np.hypot(ax[:, None] - bx[None, :], ay[:, None] - by[None, :])
+
 
 def _pick_gateways(positions: np.ndarray, count: int,
                    rng: np.random.Generator) -> list[int]:
@@ -393,31 +466,49 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
             synthetic=synthetic,
         )
 
+    # Every pair within range, in row-major (u, v) order so the RNG draws
+    # follow it.  numpy's distances only shortlist the pairs (with a little
+    # slack for rounding); math.dist decides, as it decides the stitching.
     links: dict[tuple[int, int], Link] = {}
-    positions = np.stack([xs, ys], axis=1)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if math.dist(positions[u], positions[v]) <= params.transmission_range:
-                links[(u, v)] = draw_link(u, v, synthetic=False)
+    points = list(zip(xs.tolist(), ys.tolist()))
+    reach = params.transmission_range
+    near = np.triu(_distances(xs, ys, xs, ys) <= reach * _SLACK, k=1)
+    for u, v in zip(*np.nonzero(near)):
+        u, v = int(u), int(v)
+        if math.dist(points[u], points[v]) <= reach:
+            links[(u, v)] = draw_link(u, v, synthetic=False)
 
-    # Stitch components with nearest inter-component pairs until connected.
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(links)
-    while not nx.is_connected(g):
-        comps = [sorted(c) for c in nx.connected_components(g)]
-        comps.sort()
-        best = None
-        base = comps[0]
-        for other in comps[1:]:
-            for u in base:
-                for v in other:
-                    d = math.dist(positions[u], positions[v])
-                    if best is None or d < best[0]:
-                        best = (d, min(u, v), max(u, v))
-        _, u, v = best
+    # Stitch components until connected: each round links the component of
+    # node 0 to its nearest other node, ties going to the other component
+    # with the lowest node id, then the lowest u, then the lowest v.
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in links:
+        parent[find(u)] = find(v)
+    while True:
+        roots = np.array([find(i) for i in range(n)])
+        in_base = roots == roots[0]
+        if in_base.all():
+            break
+        # Lowest node id of each component, indexed by its root.
+        lowest = np.full(n, n)
+        np.minimum.at(lowest, roots, np.arange(n))
+        base, other = np.flatnonzero(in_base), np.flatnonzero(~in_base)
+        block = _distances(xs[base], ys[base], xs[other], ys[other])
+        rows, cols = np.nonzero(block <= block.min() * _SLACK)
+        _, _, u, v = min((math.dist(points[base[i]], points[other[j]]),
+                          int(lowest[roots[other[j]]]), int(base[i]),
+                          int(other[j]))
+                         for i, j in zip(rows, cols))
+        u, v = min(u, v), max(u, v)
         links[(u, v)] = draw_link(u, v, synthetic=True)
-        g.add_edge(u, v)
+        parent[find(u)] = find(v)
 
     # Worst-case overlap with any link sharing an endpoint.
     incident: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
@@ -435,6 +526,7 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
                 worst = max(worst, interference_factor(sep, params.ifactor_table))
         finished.append(replace(link, i_factor=worst))
 
-    gateways = _pick_gateways(positions, params.gateway_count, rng)
+    gateways = _pick_gateways(np.stack([xs, ys], axis=1),
+                              params.gateway_count, rng)
     return MeshTopology(nodes, finished, set(gateways),
                         params.transmission_range)

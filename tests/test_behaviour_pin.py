@@ -1,0 +1,117 @@
+"""Behaviour pins: values recorded with the networkx-backed topology layer.
+
+For a fixed seed the program's outputs must not move: generated meshes,
+benchmark source selection, every solver trajectory, and which of several
+equal-cost shortest paths a query returns.  A change that moves any of them
+must say so, re-run the acceptance gate and record the new values here.
+"""
+
+import hashlib
+import json
+
+from meshroute import (
+    HybridConfig,
+    MeshTopology,
+    PenaltyCoeffs,
+    QosRequest,
+    TopologyParams,
+    generate_topology,
+    run,
+)
+from meshroute.cli import default_source
+
+from conftest import make_topo
+
+SIZES = (25, 50, 125)
+SEEDS = (0, 1, 2)
+PERCENTILES = (0.05, 0.25, 0.95)
+ALGS = ("pso", "ga", "hybrid")
+REQ = QosRequest(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.0)
+WALL_FIELDS = ("wall_time_ms", "time_to_best_ms", "iteration_times_ms")
+
+# sha256 of behaviour_digest_items(), recorded on the networkx-backed code.
+BEHAVIOUR_SHA256 = (
+    "e2776d074f1d5ce95b981e465dde0eb251fd5d777d5f95f8a0fcbfc3fafbae8a")
+
+
+def behaviour_digest_items():
+    """Yield the pinned outputs as JSON strings, in a fixed order."""
+    for size in SIZES:
+        for seed in SEEDS:
+            topo = generate_topology(TopologyParams(node_count=size,
+                                                    rng_seed=seed))
+            yield topo.to_json()
+            sources = [default_source(topo, p) for p in PERCENTILES]
+            yield json.dumps(sources)
+            coeffs = PenaltyCoeffs.for_request(REQ, topo)
+            for alg in ALGS:
+                result = run(topo, sources[1], REQ, coeffs,
+                             HybridConfig(rng_seed=seed, algorithm=alg))
+                d = {k: v for k, v in result.to_dict().items()
+                     if k not in WALL_FIELDS}
+                yield json.dumps(d, sort_keys=True)
+
+
+def test_behaviour_hash_unchanged():
+    digest = hashlib.sha256()
+    for item in behaviour_digest_items():
+        digest.update(item.encode())
+    assert digest.hexdigest() == BEHAVIOUR_SHA256
+
+
+def tie_mesh():
+    """3x3 grid, every link at conftest's default cost 2.0, links inserted
+    out of order, so most node pairs have several shortest paths.
+
+        0 - 1 - 2
+        |   |   |
+        3 - 4 - 5
+        |   |   |
+        6 - 7 - 8
+    """
+    order = [(4, 5), (0, 3), (7, 8), (1, 4), (3, 4), (0, 1), (2, 5),
+             (4, 7), (5, 8), (1, 2), (6, 7), (3, 6)]
+    return make_topo(9, {edge: {} for edge in order}, gateways={8})
+
+
+def all_shortest_paths(topo):
+    """Row s lists shortest_path(s, t) for t = 0..8, nodes as digits."""
+    return {s: " ".join("".join(map(str, topo.shortest_path(s, t)))
+                        for t in range(topo.node_count))
+            for s in range(topo.node_count)}
+
+
+# Paths networkx's single_source_dijkstra returned on tie_mesh().
+TIE_PATHS = {
+    0: "0 01 012 03 034 0345 036 0347 03458",
+    1: "10 1 12 143 14 145 1436 147 1458",
+    2: "210 21 2 2543 254 25 25436 2547 258",
+    3: "30 301 3012 3 34 345 36 347 3458",
+    4: "410 41 452 43 4 45 436 47 458",
+    5: "5410 541 52 543 54 5 5436 547 58",
+    6: "630 6741 67852 63 674 6785 6 67 678",
+    7: "7410 741 7852 743 74 785 76 7 78",
+    8: "87410 8741 852 8743 874 85 876 87 8",
+}
+# The same after a to_json/from_json round trip, which stores the links
+# sorted, so ties break differently (25 of the 81 pairs differ).
+TIE_PATHS_ROUND_TRIP = {
+    0: "0 01 012 03 014 0125 036 0147 01258",
+    1: "10 1 12 103 14 125 1036 147 1258",
+    2: "210 21 2 2103 214 25 21036 2147 258",
+    3: "30 301 3012 3 34 345 36 347 3458",
+    4: "410 41 412 43 4 45 436 47 458",
+    5: "5210 521 52 543 54 5 5436 547 58",
+    6: "630 6301 63012 63 634 6345 6 67 678",
+    7: "7410 741 7412 743 74 745 76 7 78",
+    8: "85210 8521 852 8543 854 85 876 87 8",
+}
+
+
+def test_equal_cost_ties_match_recorded_paths():
+    assert all_shortest_paths(tie_mesh()) == TIE_PATHS
+
+
+def test_equal_cost_ties_after_round_trip():
+    topo = MeshTopology.from_json(tie_mesh().to_json())
+    assert all_shortest_paths(topo) == TIE_PATHS_ROUND_TRIP

@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 
 import pytest
 
 from meshroute import (
+    Link,
     MeshTopology,
     PathExplosionError,
     TopologyError,
@@ -15,7 +17,9 @@ from meshroute import (
     validate_path,
 )
 
-from conftest import make_topo, source_for
+from meshroute.cli import default_source
+
+from conftest import LINK_DEFAULTS, make_topo, source_for
 
 
 class TestInterferenceFactor:
@@ -117,6 +121,83 @@ class TestShortestPath:
             assert (topo.shortest_path_cost(a, c)
                     <= topo.shortest_path_cost(a, b)
                     + topo.shortest_path_cost(b, c) + 1e-9)
+
+
+class TestMultiSourceCosts:
+    def test_nearest_source_cost(self):
+        topo = generate_topology(TopologyParams(node_count=40, rng_seed=3))
+        sources = [2, 17, 31]
+        costs = topo.costs_from(sources)
+        for n in range(topo.node_count):
+            assert costs[n] == pytest.approx(
+                min(topo.shortest_path_cost(s, n) for s in sources), abs=1e-9)
+        assert all(costs[s] == 0.0 for s in sources)
+
+    def test_unreachable_marker(self):
+        topo = make_topo(3, {(0, 1): {}}, gateways={1})
+        assert topo.costs_from([1]) == [2.0, 0.0, UNREACHABLE]
+
+    def test_unknown_source_rejected(self, line3):
+        with pytest.raises(TopologyError):
+            line3.costs_from([0, 7])
+
+    def test_default_source_ranks_by_cost_to_nearest_gateway(self):
+        # The ranking one Dijkstra per node would give.
+        for seed in range(4):
+            topo = generate_topology(TopologyParams(node_count=30,
+                                                    rng_seed=seed))
+            ranked = sorted((min(topo.shortest_path_cost(n, g)
+                                 for g in topo.gateways), n)
+                            for n in range(topo.node_count)
+                            if n not in topo.gateways)
+            for p in (0.0, 0.25, 0.5, 0.95):
+                assert default_source(topo, p) == \
+                    ranked[int(len(ranked) * p)][1]
+
+
+class TestAdjacency:
+    def test_neighbors_sorted_tuple(self):
+        from conftest import merge_demo_topo
+        topo = merge_demo_topo()
+        assert topo.neighbors(5) == (7, 9, 10)
+        assert topo.neighbors(0) == ()
+
+    def test_adjacent_matches_links(self):
+        topo = generate_topology(TopologyParams(node_count=25, rng_seed=2))
+        for u, v in itertools.permutations(range(topo.node_count), 2):
+            assert topo.adjacent(u, v) == (topo.link(u, v) is not None)
+            assert topo.adjacent(u, v) == (v in topo.neighbors(u))
+
+    def test_connectivity(self):
+        assert make_topo(3, {(0, 1): {}, (1, 2): {}}, gateways={2}).is_connected()
+        assert not make_topo(3, {(0, 1): {}}, gateways={1}).is_connected()
+
+
+class TestLinkValidation:
+    @pytest.mark.parametrize("name", ["cost", "bandwidth", "delay", "jitter",
+                                      "loss_prob", "i_factor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, name, value):
+        with pytest.raises(TopologyError):
+            Link(0, 1, **{**LINK_DEFAULTS, name: value})
+
+    @pytest.mark.parametrize("channel", [0, -1, 12, 99])
+    def test_channel_out_of_range_rejected(self, channel):
+        with pytest.raises(TopologyError):
+            Link(0, 1, **{**LINK_DEFAULTS, "channel": channel})
+
+    def test_edge_channels_accepted(self):
+        for channel in (1, 11):
+            Link(0, 1, **{**LINK_DEFAULTS, "channel": channel})
+
+    @pytest.mark.parametrize("field, value", [("channel", 99), ("cost", math.nan),
+                                              ("delay", math.inf)])
+    def test_rejected_when_loaded(self, field, value):
+        doc = generate_topology(TopologyParams(node_count=10,
+                                               rng_seed=1)).to_dict()
+        doc["links"][0][field] = value
+        with pytest.raises(TopologyError):
+            MeshTopology.from_json(json.dumps(doc))
 
 
 class TestEnumerate:
