@@ -46,7 +46,8 @@ def main() -> None:
     a = [1, 2, 4, 9, 13]
     b = [1, 7, 5, 10, 13]
     print("source-cost table:",
-          {n: round(ctx.cost_from_source(n), 1) for n in (2, 7, 4, 5, 9, 10)})
+          {n: round(topo.shortest_path_cost(ctx.source, n), 1)
+           for n in (2, 7, 4, 5, 9, 10)})
     merged = combine_paths(a, b, ctx, replace_prob=1.0)
     print(f"merge {a} (+) {b} -> {merged}")
     print("  stage by stage the cheaper-from-source node wins: "

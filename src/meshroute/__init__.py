@@ -24,7 +24,6 @@ from .qos import (
     PenaltyCoeffs,
     QosRequest,
     fitness,
-    infeasible_sentinel,
     oracle_best,
     path_metrics,
     penalty,

@@ -3,7 +3,8 @@
 Subcommands:
   gen    write a seeded random mesh topology as JSON
   route  solve one source->gateway routing problem and print the result
-  bench  sweep sizes x algorithms x seeds, emitting CSV tables
+  bench  sweep sizes x seeds, solving each instance with every algorithm,
+         emitting CSV tables
 
 CSV column layouts are documented in docs/formats.md.
 """
@@ -17,11 +18,11 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .qos import PenaltyCoeffs, QosRequest
-from .routing import HybridConfig, RunResult, run
-from .simulation import SimResult, TrafficSpec, simulate_path
+from .routing import HybridConfig, run
+from .simulation import TrafficSpec, simulate_path
 from .topology import MeshTopology, TopologyError, TopologyParams, generate_topology
 
 DEFAULT_SIZES = [25, 50, 75, 100, 125]
@@ -30,7 +31,12 @@ DEFAULT_ALGORITHMS = ["pso", "ga", "hybrid"]
 
 @dataclass
 class ExperimentPlan:
-    """Benchmark sweep description; one cell per (size, algorithm)."""
+    """Benchmark sweep description.
+
+    Each size gets ``seeds_per_cell`` instances (topology seeds base_seed,
+    base_seed + 1, ...), and every listed algorithm solves each instance;
+    the output tables group rows into one cell per (size, algorithm).
+    """
     node_sizes: list[int] = field(default_factory=lambda: list(DEFAULT_SIZES))
     algorithms: list[str] = field(default_factory=lambda: list(DEFAULT_ALGORITHMS))
     seeds_per_cell: int = 30
@@ -80,51 +86,47 @@ def default_source(topo: MeshTopology, percentile: float = 0.25) -> int:
     return ranked[int(len(ranked) * percentile)][1]
 
 
-def _solve_one(topo: MeshTopology, source: int, plan: ExperimentPlan,
-               run_seed: int, algorithm: str, traffic_seed: int,
-               ) -> tuple[RunResult, SimResult]:
+def run_cell(size: int, index: int, plan: ExperimentPlan) -> dict:
+    """Every algorithm of the plan on one sweep instance, keyed by
+    (size, algorithm).
+
+    The (size, base_seed + index) topology is generated and its source
+    chosen once; each algorithm then solves it with the same solver and
+    traffic seeds, so the algorithms' rows are directly comparable and any
+    row can be replayed from its recorded seed.
+    """
+    topo_seed = plan.base_seed + index
     req = QosRequest(plan.bw_req, plan.d_req, plan.j_req, plan.beta)
-    coeffs = PenaltyCoeffs.for_request(req, topo, mode=plan.penalty_mode)
     config = HybridConfig(
         swarm_size=plan.swarm_size, max_iterations=plan.max_iterations,
         c1=plan.c1, c2=plan.c2, breed_ratio=plan.breed_ratio,
         mutation_rate=plan.mutation_rate,
         stagnation_window=plan.stagnation_window,
-        rng_seed=run_seed, algorithm=algorithm)
-    result = run(topo, source, req, coeffs, config)
-    sim = simulate_path(topo, result.best_path,
-                        TrafficSpec(plan.packet_count, traffic_seed))
-    return result, sim
-
-
-def run_cell(size: int, algorithm: str, plan: ExperimentPlan) -> dict:
-    """All replicates of one (size, algorithm) cell.
-
-    Every algorithm sees the same topologies and traffic seeds so cells are
-    directly comparable; replayable from any row's recorded seed.
-    """
-    rows = {"trace": [], "time": [], "pdr": [], "delay": []}
-    for i in range(plan.seeds_per_cell):
-        topo_seed = plan.base_seed + i
-        topo = generate_topology(TopologyParams(node_count=size,
-                                                rng_seed=topo_seed))
-        source = default_source(topo)
-        result, sim = _solve_one(topo, source, plan,
-                                 run_seed=plan.base_seed + 100_000 + i,
-                                 algorithm=algorithm,
-                                 traffic_seed=plan.base_seed + 200_000 + i)
-        for it, total in enumerate(result.fitness_trace, start=1):
-            rows["trace"].append([size, algorithm, topo_seed, it, repr(total)])
-        rows["time"].append([size, algorithm, topo_seed,
-                             result.iterations_executed,
-                             result.iterations_to_best,
-                             repr(result.time_to_best_ms),
-                             repr(result.wall_time_ms),
-                             repr(result.best_fitness.total)])
-        rows["pdr"].append([size, algorithm, topo_seed, repr(sim.pdr),
-                            sim.delivered_count, sim.packet_count])
-        rows["delay"].append([size, algorithm, topo_seed, repr(sim.avg_delay)])
-    return rows
+        rng_seed=plan.base_seed + 100_000 + index)
+    traffic = TrafficSpec(plan.packet_count, plan.base_seed + 200_000 + index)
+    topo = generate_topology(TopologyParams(node_count=size,
+                                            rng_seed=topo_seed))
+    source = default_source(topo)
+    coeffs = PenaltyCoeffs.for_request(req, topo, mode=plan.penalty_mode)
+    cells = {}
+    for algorithm in plan.algorithms:
+        result = run(topo, source, req, coeffs,
+                     replace(config, algorithm=algorithm))
+        sim = simulate_path(topo, result.best_path, traffic)
+        key = [size, algorithm, topo_seed]
+        cells[(size, algorithm)] = {
+            "trace": [key + [it, repr(total)] for it, total
+                      in enumerate(result.fitness_trace, start=1)],
+            "time": [key + [result.iterations_executed,
+                            result.iterations_to_best,
+                            repr(result.time_to_best_ms),
+                            repr(result.wall_time_ms),
+                            repr(result.best_fitness.total)]],
+            "pdr": [key + [repr(sim.pdr), sim.delivered_count,
+                           sim.packet_count]],
+            "delay": [key + [repr(sim.avg_delay)]],
+        }
+    return cells
 
 
 def _atomic_write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -184,15 +186,21 @@ def write_bench_outputs(cells: dict, out_dir: str) -> None:
 
 
 def run_bench(plan: ExperimentPlan, out_dir: str, workers: int = 1) -> None:
-    keys = [(size, alg) for size in plan.node_sizes for alg in plan.algorithms]
+    sizes, indices = zip(*[(size, i) for size in plan.node_sizes
+                           for i in range(plan.seeds_per_cell)])
+    plans = [plan] * len(sizes)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_cell, [k[0] for k in keys],
-                                    [k[1] for k in keys],
-                                    [plan] * len(keys)))
-        cells = dict(zip(keys, results))
+            instances = list(pool.map(run_cell, sizes, indices, plans))
     else:
-        cells = {key: run_cell(key[0], key[1], plan) for key in keys}
+        instances = list(map(run_cell, sizes, indices, plans))
+    # Instances arrive in seed order, so each cell's rows do too.
+    cells: dict = {}
+    for instance in instances:
+        for key, rows in instance.items():
+            cell = cells.setdefault(key, {table: [] for table in rows})
+            for table, table_rows in rows.items():
+                cell[table] += table_rows
     write_bench_outputs(cells, out_dir)
 
 

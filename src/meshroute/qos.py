@@ -34,6 +34,9 @@ class QosRequest:
     beta: float = 0.5
 
     def __post_init__(self):
+        if not all(map(math.isfinite,
+                       (self.bw_req, self.d_req, self.j_req, self.beta))):
+            raise ValueError("bw_req, d_req, j_req and beta must be finite")
         if self.bw_req <= 0 or self.d_req <= 0 or self.j_req <= 0:
             raise ValueError("bw_req, d_req and j_req must be positive")
         if not 0.0 <= self.beta <= 1.0:
@@ -154,25 +157,18 @@ def penalty(metrics: PathMetrics, req: QosRequest,
     return sum(terms.values()), terms
 
 
-def infeasible_sentinel(topo: MeshTopology, coeffs: PenaltyCoeffs) -> float:
-    """Fitness assigned to unconnected/broken routes; dominated by every
-    real path so selection never prefers a broken one."""
-    cost_bound = topo.max_link_cost * (topo.node_count - 1)
-    return coeffs.lam * 4.0 + cost_bound + 1.0
-
-
 def fitness(topo: MeshTopology, path: list[int], req: QosRequest,
             coeffs: PenaltyCoeffs) -> FitnessBreakdown:
     """Total route fitness F = cost + lam * penalty.
 
-    Accepts arbitrary node sequences: anything that fails validation gets
-    the infeasible sentinel instead of raising.
+    Accepts arbitrary node sequences: anything that fails validation scores
+    inf (objective and total) instead of raising, so every real path, however
+    badly it violates the request, beats a broken one.
     """
     try:
         metrics = path_metrics(topo, path)
     except InvalidPathError:
-        sentinel = infeasible_sentinel(topo, coeffs)
-        return FitnessBreakdown(objective=sentinel, penalty=0.0, total=sentinel,
+        return FitnessBreakdown(objective=math.inf, penalty=0.0, total=math.inf,
                                 terms={k: 0.0 for k in PENALTY_TERMS},
                                 feasible=False, valid=False)
     p, terms = penalty(metrics, req, coeffs)
@@ -195,6 +191,8 @@ def oracle_best(topo: MeshTopology, source: int, gateways: set[int],
     Ties in F break lexicographically by node sequence.  Only tractable on
     small graphs; the enumeration cap bounds the blow-up.
     """
+    if source in gateways:
+        raise ValueError("source is a gateway")
     if max_hops is None:
         max_hops = topo.node_count - 1
     paths = enumerate_simple_paths(topo, source, set(gateways), max_hops, cap=cap)

@@ -11,12 +11,11 @@ minimum-cost subpaths.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .qos import FitnessBreakdown, PenaltyCoeffs, QosRequest, fitness
 from .topology import MeshTopology, validate_path
@@ -50,6 +49,10 @@ class HybridConfig:
             raise ValueError("breed_ratio outside [0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate outside [0, 1]")
+        if not 0.0 <= self.elite_fraction <= 1.0:
+            raise ValueError("elite_fraction outside [0, 1]")
+        if self.stagnation_window < 1:
+            raise ValueError("stagnation_window must be >= 1")
         if self.algorithm not in ("pso", "ga", "hybrid"):
             raise ValueError("algorithm must be pso, ga or hybrid")
 
@@ -96,9 +99,9 @@ class RunResult:
 
 
 class RouteContext:
-    """Per-run bundle of topology, endpoints, QoS demand, and caches.
+    """Per-run bundle of topology, endpoints and QoS demand.
 
-    Shortest-path results from any node are memoized, so alter() lookups and
+    The topology memoizes shortest paths per source, so alter() lookups and
     repair stitching stay cheap across thousands of operator applications.
     """
 
@@ -114,12 +117,8 @@ class RouteContext:
         self.gateways = frozenset(gateways if gateways is not None else topo.gateways)
         if not self.gateways:
             raise ValueError("empty gateway set")
-
-    def cost_from_source(self, node: int) -> float:
-        return self.topo.shortest_path_cost(self.source, node)
-
-    def min_cost_path(self, u: int, v: int) -> list[int] | None:
-        return self.topo.shortest_path(u, v)
+        if source in self.gateways:
+            raise ValueError("source is a gateway")
 
     def nearest_gateway_path(self, node: int) -> list[int] | None:
         best = None
@@ -175,7 +174,7 @@ def repair_path(raw: list[int], ctx: RouteContext) -> list[int] | None:
         if ctx.topo.adjacent(u, v):
             stitched.append(v)
         else:
-            sub = ctx.min_cost_path(u, v)
+            sub = ctx.topo.shortest_path(u, v)
             if sub is None:
                 return None
             stitched.extend(sub[1:])
@@ -198,32 +197,6 @@ def _truncate_at_gateway(seq: list[int], gateways: frozenset[int]) -> list[int]:
         if node in gateways:
             return seq[: i + 1]
     return seq
-
-
-def _restricted_min_path(topo: MeshTopology, start: int, goal: int,
-                         forbidden: set[int]) -> list[int] | None:
-    # Dijkstra that refuses to enter `forbidden` nodes.
-    dist = {start: 0.0}
-    prev: dict[int, int] = {}
-    heap = [(0.0, start)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u == goal:
-            path = [goal]
-            while path[-1] != start:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        if d > dist.get(u, math.inf):
-            continue
-        for v in topo.neighbors(u):
-            if v in forbidden and v != goal:
-                continue
-            nd = d + topo.link(u, v).cost
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, v))
-    return None
 
 
 # -- swarm operators -------------------------------------------------------
@@ -275,7 +248,8 @@ def init_swarm(ctx: RouteContext, config: HybridConfig,
 def alter(a: int, b: int, ctx: RouteContext) -> int:
     """Keep whichever node is cheaper to reach from the source; ties keep
     the first argument."""
-    if ctx.cost_from_source(b) < ctx.cost_from_source(a):
+    cost = ctx.topo.shortest_path_cost
+    if cost(ctx.source, b) < cost(ctx.source, a):
         return b
     return a
 
@@ -364,7 +338,7 @@ def mutate(path: list[int], ctx: RouteContext, rng: random.Random,
     k = rng.randrange(1, len(path) - 1)
     removed = path[k]
     forbidden = (set(path) | set(ctx.gateways)) - {path[k - 1], path[k + 1]}
-    detour = _restricted_min_path(ctx.topo, path[k - 1], path[k + 1], forbidden)
+    detour = ctx.topo.shortest_path(path[k - 1], path[k + 1], avoid=forbidden)
     if detour is None:
         return list(path)
     candidate = path[:k - 1] + detour + path[k + 2:]
@@ -432,31 +406,27 @@ def _child(path: list[int], parent: Particle, ctx: RouteContext) -> Particle:
                     pbest_fitness=parent.pbest_fitness)
 
 
-def _ga_offspring(parents: list[Particle], pool: list[Particle],
-                  ctx: RouteContext, config: HybridConfig,
-                  rng: random.Random, tournament: bool) -> list[Particle]:
-    """Crossover + mutation over `parents`; with `tournament` the mates come
-    from `pool` by binary tournament, otherwise by random pairing."""
-    out: list[Particle] = []
+def _ga_offspring(parents: list[Particle], ctx: RouteContext,
+                  config: HybridConfig, rng: random.Random,
+                  tournament: bool) -> list[Particle]:
+    """Crossover + mutation producing one child per parent; with
+    `tournament` each mate is drawn from `parents` by binary tournament,
+    otherwise the parents are paired off in a random order."""
     if tournament:
-        for _ in range(len(parents) // 2):
-            pa, pb = _tournament(pool, rng), _tournament(pool, rng)
-            c1, c2 = two_point_crossover(pa.path, pb.path, ctx, rng)
-            out.append(_child(mutate(c1, ctx, rng, config.mutation_rate), pa, ctx))
-            out.append(_child(mutate(c2, ctx, rng, config.mutation_rate), pb, ctx))
-        if len(parents) % 2:
-            pa = _tournament(pool, rng)
-            out.append(_child(mutate(pa.path, ctx, rng, config.mutation_rate), pa, ctx))
-        return out
-    order = list(parents)
-    rng.shuffle(order)
-    for i in range(0, len(order) - 1, 2):
-        pa, pb = order[i], order[i + 1]
+        def pick() -> Particle:
+            return _tournament(parents, rng)
+    else:
+        order = list(parents)
+        rng.shuffle(order)
+        pick = iter(order).__next__
+    out: list[Particle] = []
+    for _ in range(len(parents) // 2):
+        pa, pb = pick(), pick()
         c1, c2 = two_point_crossover(pa.path, pb.path, ctx, rng)
         out.append(_child(mutate(c1, ctx, rng, config.mutation_rate), pa, ctx))
         out.append(_child(mutate(c2, ctx, rng, config.mutation_rate), pb, ctx))
-    if len(order) % 2:
-        pa = order[-1]
+    if len(parents) % 2:
+        pa = pick()
         out.append(_child(mutate(pa.path, ctx, rng, config.mutation_rate), pa, ctx))
     return out
 
@@ -477,6 +447,12 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
     """
     ctx = RouteContext(topo, source, req, coeffs, gateways)
     rng = random.Random(config.rng_seed)
+    # Pure PSO sends every non-elite particle to the merge, pure GA every
+    # one to crossover.
+    split_config = config
+    if config.algorithm != "hybrid":
+        split_config = replace(
+            config, breed_ratio=1.0 if config.algorithm == "pso" else 0.0)
     t0 = time.perf_counter()
     swarm = init_swarm(ctx, config, rng)
 
@@ -510,7 +486,7 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
         if t == config.max_iterations or t - last_improve >= config.stagnation_window:
             break
 
-        elite, pso_set, ga_set = _split_for_algorithm(swarm, config, rng, gbest)
+        elite, pso_set, ga_set = elitism_split(swarm, split_config, rng, gbest)
         next_gen = [Particle(path=list(e.path), fitness=e.fitness,
                              pbest_path=list(e.pbest_path),
                              pbest_fitness=e.pbest_fitness) for e in elite]
@@ -518,7 +494,7 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
             new_path = oplus_update(p, gbest.path, ctx, config, rng)
             next_gen.append(_child(new_path, p, ctx))
         if ga_set:
-            next_gen.extend(_ga_offspring(ga_set, ga_set, ctx, config, rng,
+            next_gen.extend(_ga_offspring(ga_set, ctx, config, rng,
                                           tournament=(config.algorithm == "ga")))
         swarm = dedupe(next_gen, ctx, rng)
 
@@ -536,13 +512,3 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
         algorithm=config.algorithm,
         iteration_times_ms=iter_times,
     )
-
-
-def _split_for_algorithm(swarm, config, rng, gbest):
-    if config.algorithm == "pso":
-        forced = HybridConfig(**{**config.__dict__, "breed_ratio": 1.0})
-        return elitism_split(swarm, forced, rng, gbest)
-    if config.algorithm == "ga":
-        forced = HybridConfig(**{**config.__dict__, "breed_ratio": 0.0})
-        return elitism_split(swarm, forced, rng, gbest)
-    return elitism_split(swarm, config, rng, gbest)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Set as AbstractSet
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -137,6 +137,9 @@ class TopologyParams:
                 raise TopologyError("range lower bound exceeds upper bound")
         if self.area is not None and (self.area[0] <= 0 or self.area[1] <= 0):
             raise TopologyError("degenerate area")
+        if not (math.isfinite(self.transmission_range)
+                and self.transmission_range > 0):
+            raise TopologyError("transmission_range must be finite and positive")
 
     def resolved_area(self) -> tuple[float, float]:
         if self.area is not None:
@@ -215,10 +218,12 @@ class MeshTopology:
 
     # -- shortest paths ----------------------------------------------------
 
-    def _dijkstra(self, sources: Iterable[int]) -> tuple[list[float], list[int]]:
+    def _dijkstra(self, sources: Iterable[int],
+                  avoid: AbstractSet[int] = frozenset(),
+                  ) -> tuple[list[float], list[int]]:
         """Least link-cost sum from the nearest source to every node, and
         each node's predecessor on that path (-1 at sources and unreached
-        nodes).
+        nodes).  Paths never enter a node in ``avoid``.
 
         Equal-cost ties break as pinned in tests/test_behaviour_pin.py:
         heap entries are (distance, push counter, node), neighbours are
@@ -245,6 +250,8 @@ class MeshTopology:
             for v, cost in adj[u]:
                 nd = d + cost
                 if nd < dist[v]:
+                    if v in avoid:
+                        continue
                     dist[v] = nd
                     pred[v] = u
                     heappush(heap, (nd, pushes, v))
@@ -271,10 +278,20 @@ class MeshTopology:
             raise TopologyError("unknown node id")
         return self._source_dijkstra(source)[0][target]
 
-    def shortest_path(self, source: int, target: int) -> list[int] | None:
+    def shortest_path(self, source: int, target: int,
+                      avoid: AbstractSet[int] = frozenset(),
+                      ) -> list[int] | None:
+        """A least-cost path, or None when none exists.
+
+        The path enters no node in ``avoid``; such a query is computed
+        afresh rather than from the per-source cache.
+        """
         if not (self.has_node(source) and self.has_node(target)):
             raise TopologyError("unknown node id")
-        dist, pred = self._source_dijkstra(source)
+        if avoid:
+            dist, pred = self._dijkstra((source,), avoid)
+        else:
+            dist, pred = self._source_dijkstra(source)
         if dist[target] == UNREACHABLE:
             return None
         path = [target]
@@ -336,8 +353,8 @@ def validate_path(topo: MeshTopology, path: list[int],
     """
     if not path:
         return False
-    if any(not isinstance(u, (int, np.integer)) or not topo.has_node(u)
-           for u in path):
+    if any(not isinstance(u, (int, np.integer)) or isinstance(u, bool)
+           or not topo.has_node(u) for u in path):
         return False
     if len(set(path)) != len(path):
         return False

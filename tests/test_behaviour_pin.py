@@ -1,13 +1,18 @@
-"""Behaviour pins: values recorded with the networkx-backed topology layer.
+"""Behaviour pins: values recorded with the networkx-backed topology layer
+and, for the bench tables, the per-algorithm sweep.
 
 For a fixed seed the program's outputs must not move: generated meshes,
-benchmark source selection, every solver trajectory, and which of several
-equal-cost shortest paths a query returns.  A change that moves any of them
+benchmark source selection, every solver trajectory, which of several
+equal-cost shortest paths a query returns, and the tables `meshroute bench`
+writes (wall times aside).  A change that moves any of them
 must say so, re-run the acceptance gate and record the new values here.
 """
 
+import csv
 import hashlib
 import json
+
+import pytest
 
 from meshroute import (
     HybridConfig,
@@ -18,7 +23,7 @@ from meshroute import (
     generate_topology,
     run,
 )
-from meshroute.cli import default_source
+from meshroute.cli import ExperimentPlan, default_source, run_bench
 
 from conftest import make_topo
 
@@ -115,3 +120,32 @@ def test_equal_cost_ties_match_recorded_paths():
 def test_equal_cost_ties_after_round_trip():
     topo = MeshTopology.from_json(tie_mesh().to_json())
     assert all_shortest_paths(topo) == TIE_PATHS_ROUND_TRIP
+
+
+# A small sweep, written by `run_bench` serially and with two workers.
+BENCH_PLAN = dict(node_sizes=[12, 25], seeds_per_cell=2, max_iterations=20,
+                  packet_count=500)
+# Wall times vary run to run; every other column of every table is pinned.
+WALL_COLUMNS = ("time_to_best_ms", "wall_time_ms")
+
+# sha256 of bench_digest(), recorded on the sweep that ran one cell per
+# (size, algorithm) and regenerated each instance for every algorithm.
+BENCH_SHA256 = (
+    "7ce2e6202c55505d1ed38035039ce5011217e95bd76fecbe979e2e9761e57806")
+
+
+def bench_digest(out_dir) -> str:
+    digest = hashlib.sha256()
+    for name in ("fitness_trace.csv", "pdr.csv", "delay.csv"):
+        digest.update((out_dir / name).read_bytes())
+    with open(out_dir / "convergence_time.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            kept = {k: v for k, v in row.items() if k not in WALL_COLUMNS}
+            digest.update(json.dumps(kept, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bench_outputs_unchanged(tmp_path, workers):
+    run_bench(ExperimentPlan(**BENCH_PLAN), str(tmp_path), workers=workers)
+    assert bench_digest(tmp_path) == BENCH_SHA256

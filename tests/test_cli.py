@@ -76,6 +76,12 @@ class TestRoute:
         _, fb = oracle_best(topo, source, set(topo.gateways), req, coeffs)
         assert data["best_fitness"]["total"] == pytest.approx(fb.total)
 
+    def test_gateway_source_is_usage_error(self, topo_file, capsys):
+        topo = MeshTopology.from_json(open(topo_file).read())
+        gateway = min(topo.gateways)
+        assert main(["route", topo_file, "--source", str(gateway)]) == 2
+        assert "error: source is a gateway" in capsys.readouterr().err
+
     def test_missing_file_errors(self, capsys):
         assert main(["route", "/nonexistent/topo.json"]) == 1
         assert "cannot load" in capsys.readouterr().err
@@ -126,9 +132,11 @@ class TestBench:
         from meshroute.cli import run_cell
         plan = ExperimentPlan(**self.PLAN)
         run_bench(plan, str(tmp_path))
-        replay = run_cell(12, "hybrid", plan)
         original = read_csv(tmp_path / "convergence_time.csv")
-        for row, rerun in zip(original, replay["time"]):
+        assert len(original) == plan.seeds_per_cell
+        for index, row in enumerate(original):
+            [rerun] = run_cell(12, index, plan)[(12, "hybrid")]["time"]
+            assert row["seed"] == str(rerun[2])
             assert row["best_total"] == rerun[7]
             assert row["iterations_to_best"] == str(rerun[4])
 

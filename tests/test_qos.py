@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +10,18 @@ from meshroute import (
     PathMetrics,
     PenaltyCoeffs,
     QosRequest,
+    RouteContext,
     TopologyParams,
+    enumerate_simple_paths,
     fitness,
     generate_topology,
-    infeasible_sentinel,
     oracle_best,
     path_metrics,
     penalty,
 )
+
+from meshroute.cli import default_source
+from meshroute.routing import random_walk_path
 
 from conftest import make_topo, source_for
 
@@ -24,6 +29,15 @@ from conftest import make_topo, source_for
 REQ = QosRequest(bw_req=5.0, d_req=10.0, j_req=10.0, beta=0.5)
 STRICT = PenaltyCoeffs(1.0, 1.0, 1.0, lam=10.0, clamp_mode="strict")
 FIDELITY = PenaltyCoeffs(0.2, 0.5, 0.5, lam=1.0, clamp_mode="fidelity")
+
+
+class TestQosRequest:
+    @pytest.mark.parametrize("field", ["bw_req", "d_req", "j_req", "beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        fields = dict(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.0)
+        with pytest.raises(ValueError):
+            QosRequest(**{**fields, field: value})
 
 
 class TestPathMetrics:
@@ -122,15 +136,31 @@ class TestFitness:
     def test_unconnected_sequence_gets_sentinel(self, triangle):
         fb = fitness(triangle, [0, 0, 2], REQ, STRICT)
         assert not fb.valid and not fb.feasible
-        assert fb.total == infeasible_sentinel(triangle, STRICT)
+        assert fb.total == fb.objective == math.inf
 
     def test_sentinel_dominates_every_real_path(self):
+        # Fidelity mode: every path of up to 6 hops on a small mesh.
         topo = generate_topology(TopologyParams(node_count=12, rng_seed=3))
         coeffs = PenaltyCoeffs.for_request(REQ, topo, mode="fidelity")
-        sentinel = infeasible_sentinel(topo, coeffs)
-        from meshroute import enumerate_simple_paths
-        for p in enumerate_simple_paths(topo, source_for(topo), set(topo.gateways), 6):
-            assert fitness(topo, p, REQ, coeffs).total < sentinel
+        broken = fitness(topo, [0, 0], REQ, coeffs).total
+        for p in enumerate_simple_paths(topo, source_for(topo),
+                                        set(topo.gateways), 6):
+            assert fitness(topo, p, REQ, coeffs).total < broken
+
+        # Strict mode: long random walks on the 125-node bench mesh violate
+        # the bench request by so much that some score above 4 * lam plus
+        # the cost bound of any simple path; a broken sequence still loses.
+        topo = generate_topology(TopologyParams(node_count=125, rng_seed=0))
+        req = QosRequest(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.0)
+        coeffs = PenaltyCoeffs.for_request(req, topo, mode="strict")
+        broken = fitness(topo, [0, 0], req, coeffs).total
+        ctx = RouteContext(topo, default_source(topo), req, coeffs)
+        rng = random.Random(0)
+        totals = [fitness(topo, random_walk_path(ctx, rng), req, coeffs).total
+                  for _ in range(300)]
+        cost_bound = topo.max_link_cost * (topo.node_count - 1)
+        assert max(totals) > 4 * coeffs.lam + cost_bound
+        assert all(total < broken for total in totals)
 
     def test_breakdown_serializes(self, triangle):
         fb = fitness(triangle, [0, 2], REQ, STRICT)
@@ -160,6 +190,10 @@ class TestOracle:
         path, fb = oracle_best(topo, 0, {2}, req, coeffs)
         assert path == [0, 1, 2]
         assert fb.total == pytest.approx(8.0)
+
+    def test_gateway_source_rejected(self, triangle):
+        with pytest.raises(ValueError, match="source is a gateway"):
+            oracle_best(triangle, 2, {2}, REQ, STRICT)
 
     def test_tie_breaks_lexicographically(self):
         topo = make_topo(4, {

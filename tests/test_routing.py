@@ -42,6 +42,27 @@ def demo_ctx():
     return ctx_for(merge_demo_topo(), source=1)
 
 
+class TestHybridConfig:
+    @pytest.mark.parametrize("bad", [
+        dict(elite_fraction=-0.1),
+        dict(elite_fraction=1.5),
+        dict(stagnation_window=0),
+        dict(stagnation_window=-3),
+    ])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError):
+            HybridConfig(**bad)
+
+
+class TestRouteContext:
+    def test_gateway_source_rejected(self, line3):
+        with pytest.raises(ValueError, match="source is a gateway"):
+            ctx_for(line3, 2)
+        with pytest.raises(ValueError, match="source is a gateway"):
+            run(line3, 2, REQ, PenaltyCoeffs.for_request(REQ, line3),
+                HybridConfig())
+
+
 class TestAlter:
     def test_picks_cheaper_from_source(self, demo_ctx):
         # cost(1->2) = 6 vs cost(1->7) = 3.

@@ -95,6 +95,11 @@ class TestGeneration:
         with pytest.raises(TopologyError):
             TopologyParams(node_count=5, cost_range=(10.0, 2.0))
 
+    @pytest.mark.parametrize("reach", [0.0, -250.0, math.nan, math.inf])
+    def test_bad_transmission_range_rejected(self, reach):
+        with pytest.raises(TopologyError):
+            TopologyParams(node_count=5, transmission_range=reach)
+
 
 class TestShortestPath:
     def test_line_graph_sum(self, line3):
@@ -114,6 +119,16 @@ class TestShortestPath:
     def test_unreachable_marker(self):
         topo = make_topo(3, {(0, 1): {}}, gateways={1})
         assert topo.shortest_path_cost(0, 2) == UNREACHABLE
+
+    def test_avoid_forces_detour(self):
+        topo = make_topo(4, {(0, 1): {}, (1, 3): {}, (0, 2): {"cost": 5.0},
+                             (2, 3): {"cost": 5.0}}, gateways={3})
+        assert topo.shortest_path(0, 3) == [0, 1, 3]
+        assert topo.shortest_path(0, 3, avoid={1}) == [0, 2, 3]
+        assert topo.shortest_path(0, 3, avoid={1, 2}) is None
+        assert topo.shortest_path(0, 3, avoid={3}) is None
+        # Detour queries bypass the per-source cache.
+        assert topo.shortest_path(0, 3) == [0, 1, 3]
 
     def test_triangle_inequality(self):
         topo = generate_topology(TopologyParams(node_count=15, rng_seed=11))
@@ -271,6 +286,16 @@ class TestValidatePath:
 
     def test_empty_invalid(self, triangle):
         assert not validate_path(triangle, [])
+
+    @pytest.mark.parametrize("path", [
+        [True, 2, 13, 20, 3, 15, 18, 19, 6, 10, 9, 4],
+        [False, 6],
+    ])
+    def test_bool_ids_invalid(self, path):
+        # Valid routes on this mesh with 1 and 0 in place of True and False.
+        topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
+        assert validate_path(topo, [int(u) for u in path])
+        assert not validate_path(topo, path)
 
 
 class TestSerialization:
