@@ -4,7 +4,7 @@ wireless mesh graphs via a hybrid PSO-GA metaheuristic.
 numpy is the only runtime dependency."""
 
 from .topology import (
-    DEFAULT_IFACTOR_TABLE,
+    IFACTOR_TABLE,
     Link,
     MeshTopology,
     Node,

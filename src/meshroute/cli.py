@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
-from .qos import PenaltyCoeffs, QosRequest
-from .routing import HybridConfig, run
-from .simulation import TrafficSpec, simulate_path
+from .qos import PENALTY_MODES, PenaltyCoeffs, QosRequest
+from .routing import HybridConfig, RunResult, run
+from .simulation import SimResult, TrafficSpec, simulate_path
 from .topology import MeshTopology, TopologyError, TopologyParams, generate_topology
 
 DEFAULT_SIZES = [25, 50, 75, 100, 125]
@@ -36,6 +38,8 @@ class ExperimentPlan:
     Each size gets ``seeds_per_cell`` instances (topology seeds base_seed,
     base_seed + 1, ...), and every listed algorithm solves each instance;
     the output tables group rows into one cell per (size, algorithm).
+    Construction builds everything ``run_cell`` builds from the plan, so a
+    bad plan fails here rather than after its first instance.
     """
     node_sizes: list[int] = field(default_factory=lambda: list(DEFAULT_SIZES))
     algorithms: list[str] = field(default_factory=lambda: list(DEFAULT_ALGORITHMS))
@@ -56,16 +60,50 @@ class ExperimentPlan:
     packet_count: int = 10_000
 
     def __post_init__(self):
-        if not self.node_sizes or not self.algorithms or self.seeds_per_cell < 1:
-            raise ValueError("plan needs sizes, algorithms and seeds >= 1")
+        counts = [*self.node_sizes, self.seeds_per_cell, self.base_seed,
+                  self.swarm_size, self.max_iterations, self.stagnation_window,
+                  self.packet_count]
+        if not all(type(c) is int for c in counts):  # no bools, no floats
+            raise ValueError("plan sizes, seeds and counts must be integers")
+        if (not self.node_sizes or not self.algorithms
+                or self.seeds_per_cell < 1 or self.base_seed < 0):
+            raise ValueError(
+                "plan needs sizes, algorithms, seeds >= 1 and base_seed >= 0")
         bad = set(self.algorithms) - set(DEFAULT_ALGORITHMS)
         if bad:
             raise ValueError(f"unknown algorithms: {sorted(bad)}")
+        if self.penalty_mode not in PENALTY_MODES:
+            raise ValueError(f"penalty_mode must be one of {PENALTY_MODES}")
+        for size in self.node_sizes:
+            TopologyParams(node_count=size)
+        self.request()
+        self.solver_config(0)
+        self.traffic(0)
+
+    def request(self) -> QosRequest:
+        return QosRequest(self.bw_req, self.d_req, self.j_req, self.beta)
+
+    def solver_config(self, index: int) -> HybridConfig:
+        """The solver settings of instance ``index``, for every algorithm."""
+        return HybridConfig(
+            swarm_size=self.swarm_size, max_iterations=self.max_iterations,
+            c1=self.c1, c2=self.c2, breed_ratio=self.breed_ratio,
+            mutation_rate=self.mutation_rate,
+            stagnation_window=self.stagnation_window,
+            rng_seed=self.base_seed + 100_000 + index)
+
+    def traffic(self, index: int) -> TrafficSpec:
+        return TrafficSpec(self.packet_count, self.base_seed + 200_000 + index)
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentPlan":
+        """Load a JSON object of plan fields; anything else is a ValueError."""
         with open(path) as fh:
-            return cls(**json.load(fh))
+            data = json.load(fh)
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise ValueError(f"bad plan file {path}: {exc}") from exc
 
 
 def default_source(topo: MeshTopology, percentile: float = 0.25) -> int:
@@ -80,15 +118,16 @@ def default_source(topo: MeshTopology, percentile: float = 0.25) -> int:
     # node's cost from its nearest gateway is its cost to it.
     cost = topo.costs_from(sorted(topo.gateways))
     ranked = sorted((cost[n], n) for n in range(topo.node_count)
-                    if n not in topo.gateways)
+                    if n not in topo.gateways and cost[n] != math.inf)
     if not ranked:
-        raise TopologyError("every node is a gateway")
+        raise TopologyError("no node other than a gateway reaches a gateway")
     return ranked[int(len(ranked) * percentile)][1]
 
 
-def run_cell(size: int, index: int, plan: ExperimentPlan) -> dict:
-    """Every algorithm of the plan on one sweep instance, keyed by
-    (size, algorithm).
+def run_cell(size: int, index: int, plan: ExperimentPlan,
+             ) -> list[tuple[list, RunResult, SimResult]]:
+    """Every algorithm of the plan on one sweep instance: a
+    ([size, algorithm, topology seed], result, simulation) triple each.
 
     The (size, base_seed + index) topology is generated and its source
     chosen once; each algorithm then solves it with the same solver and
@@ -96,37 +135,20 @@ def run_cell(size: int, index: int, plan: ExperimentPlan) -> dict:
     row can be replayed from its recorded seed.
     """
     topo_seed = plan.base_seed + index
-    req = QosRequest(plan.bw_req, plan.d_req, plan.j_req, plan.beta)
-    config = HybridConfig(
-        swarm_size=plan.swarm_size, max_iterations=plan.max_iterations,
-        c1=plan.c1, c2=plan.c2, breed_ratio=plan.breed_ratio,
-        mutation_rate=plan.mutation_rate,
-        stagnation_window=plan.stagnation_window,
-        rng_seed=plan.base_seed + 100_000 + index)
-    traffic = TrafficSpec(plan.packet_count, plan.base_seed + 200_000 + index)
+    req = plan.request()
+    config = plan.solver_config(index)
+    traffic = plan.traffic(index)
     topo = generate_topology(TopologyParams(node_count=size,
                                             rng_seed=topo_seed))
     source = default_source(topo)
     coeffs = PenaltyCoeffs.for_request(req, topo, mode=plan.penalty_mode)
-    cells = {}
+    runs = []
     for algorithm in plan.algorithms:
         result = run(topo, source, req, coeffs,
                      replace(config, algorithm=algorithm))
         sim = simulate_path(topo, result.best_path, traffic)
-        key = [size, algorithm, topo_seed]
-        cells[(size, algorithm)] = {
-            "trace": [key + [it, repr(total)] for it, total
-                      in enumerate(result.fitness_trace, start=1)],
-            "time": [key + [result.iterations_executed,
-                            result.iterations_to_best,
-                            repr(result.time_to_best_ms),
-                            repr(result.wall_time_ms),
-                            repr(result.best_fitness.total)]],
-            "pdr": [key + [repr(sim.pdr), sim.delivered_count,
-                           sim.packet_count]],
-            "delay": [key + [repr(sim.avg_delay)]],
-        }
-    return cells
+        runs.append(([size, algorithm, topo_seed], result, sim))
+    return runs
 
 
 def _atomic_write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -138,46 +160,50 @@ def _atomic_write_csv(path: str, header: list[str], rows: list[list]) -> None:
     os.replace(tmp, path)
 
 
-def write_bench_outputs(cells: dict, out_dir: str) -> None:
+def write_bench_outputs(runs: list[tuple[list, RunResult, SimResult]],
+                        out_dir: str) -> None:
+    """Write the bench tables from ``run_cell`` triples in seed order, one
+    cell per (size, algorithm).  csv writes floats as repr does, so every
+    value reads back bit-exactly."""
     os.makedirs(out_dir, exist_ok=True)
-    trace, time_rows, pdr, delay = [], [], [], []
-    for key in sorted(cells):
-        rows = cells[key]
-        trace += rows["trace"]
-        time_rows += rows["time"]
-        pdr += rows["pdr"]
-        delay += rows["delay"]
 
+    def cell(triple):
+        return triple[0][:2]
+
+    runs = sorted(runs, key=cell)
     _atomic_write_csv(os.path.join(out_dir, "fitness_trace.csv"),
                       ["size", "algorithm", "seed", "iteration", "best_total"],
-                      trace)
+                      [key + [it, total] for key, result, _ in runs
+                       for it, total in enumerate(result.fitness_trace,
+                                                  start=1)])
     _atomic_write_csv(os.path.join(out_dir, "convergence_time.csv"),
                       ["size", "algorithm", "seed", "iterations_executed",
                        "iterations_to_best", "time_to_best_ms",
                        "wall_time_ms", "best_total"],
-                      time_rows)
+                      [key + [result.iterations_executed,
+                              result.iterations_to_best,
+                              result.time_to_best_ms, result.wall_time_ms,
+                              result.best_fitness.total]
+                       for key, result, _ in runs])
     _atomic_write_csv(os.path.join(out_dir, "pdr.csv"),
                       ["size", "algorithm", "seed", "pdr", "delivered",
                        "packets"],
-                      pdr)
+                      [key + [sim.pdr, sim.delivered_count, sim.packet_count]
+                       for key, _, sim in runs])
     _atomic_write_csv(os.path.join(out_dir, "delay.csv"),
                       ["size", "algorithm", "seed", "avg_delay_ms"],
-                      delay)
+                      [key + [sim.avg_delay] for key, _, sim in runs])
 
     summary = []
-    for (size, algorithm) in sorted(cells):
-        rows = cells[(size, algorithm)]
-        totals = [float(r[7]) for r in rows["time"]]
-        it_best = [r[4] for r in rows["time"]]
-        t_best = [float(r[5]) for r in rows["time"]]
-        pdrs = [float(r[3]) for r in rows["pdr"]]
-        delays = [float(r[3]) for r in rows["delay"]]
-        summary.append([size, algorithm,
-                        repr(statistics.median(totals)),
-                        repr(statistics.median(it_best)),
-                        repr(statistics.median(t_best)),
-                        repr(statistics.mean(pdrs)),
-                        repr(statistics.mean(delays))])
+    for (size, algorithm), triples in itertools.groupby(runs, key=cell):
+        _, results, sims = zip(*triples)
+        summary.append([
+            size, algorithm,
+            statistics.median(r.best_fitness.total for r in results),
+            statistics.median(r.iterations_to_best for r in results),
+            statistics.median(r.time_to_best_ms for r in results),
+            statistics.mean(s.pdr for s in sims),
+            statistics.mean(s.avg_delay for s in sims)])
     _atomic_write_csv(os.path.join(out_dir, "summary.csv"),
                       ["size", "algorithm", "median_best_total",
                        "median_iterations_to_best", "median_time_to_best_ms",
@@ -194,14 +220,8 @@ def run_bench(plan: ExperimentPlan, out_dir: str, workers: int = 1) -> None:
             instances = list(pool.map(run_cell, sizes, indices, plans))
     else:
         instances = list(map(run_cell, sizes, indices, plans))
-    # Instances arrive in seed order, so each cell's rows do too.
-    cells: dict = {}
-    for instance in instances:
-        for key, rows in instance.items():
-            cell = cells.setdefault(key, {table: [] for table in rows})
-            for table, table_rows in rows.items():
-                cell[table] += table_rows
-    write_bench_outputs(cells, out_dir)
+    write_bench_outputs(list(itertools.chain.from_iterable(instances)),
+                        out_dir)
 
 
 # -- subcommand entry points ----------------------------------------------
@@ -294,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--delay", type=float, default=10.0)
     route.add_argument("--jitter", type=float, default=2.5)
     route.add_argument("--beta", type=float, default=0.0)
-    route.add_argument("--penalty-mode", choices=["strict", "fidelity"],
+    route.add_argument("--penalty-mode", choices=PENALTY_MODES,
                        default="strict")
     route.add_argument("--algorithm", choices=DEFAULT_ALGORITHMS,
                        default="hybrid")

@@ -9,8 +9,6 @@ parents' midpoint, shifted backwards along a parent velocity).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +29,6 @@ class ContinuousConfig:
     elite_fraction: float = 0.1
     mutation_rate: float = 0.05
     mutation_sigma_frac: float = 0.01
-    per_dimension_r: bool = False
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -69,14 +66,12 @@ def pso_step(particle: RealParticle, gbest_position: np.ndarray,
              config: ContinuousConfig, rng: np.random.Generator) -> RealParticle:
     """One inertia + cognitive + social velocity/position update.
 
-    r1 and r2 are drawn fresh per step; by default each is a scalar applied
-    across all dimensions.  Positions are clamped to the bounds with the
-    velocity zeroed on any clamped dimension.
+    r1 and r2 are scalars drawn fresh per step and applied across all
+    dimensions.  Positions are clamped to the bounds with the velocity
+    zeroed on any clamped dimension.
     """
-    d = particle.position.shape[0]
-    shape = (d,) if config.per_dimension_r else ()
-    r1 = rng.uniform(size=shape)
-    r2 = rng.uniform(size=shape)
+    r1 = rng.uniform()
+    r2 = rng.uniform()
     v = (config.w * particle.velocity
          + config.c1 * r1 * (particle.pbest_position - particle.position)
          + config.c2 * r2 * (gbest_position - particle.position))
@@ -160,13 +155,3 @@ def run_continuous(objective, config: ContinuousConfig,
         swarm = elite + pso_part + ga_part
 
     return gbest_x, gbest_val, trace
-
-
-def trace_to_csv(trace: list[float]) -> str:
-    """CSV rendering of an incumbent-value trace: iteration, best value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["iteration", "best_value"])
-    for i, v in enumerate(trace, start=1):
-        writer.writerow([i, repr(v)])
-    return buf.getvalue()

@@ -8,7 +8,6 @@ feasible routes is exactly minimizing cost.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +17,8 @@ from .topology import MeshTopology, validate_path, enumerate_simple_paths
 NO_LINK_BANDWIDTH = math.inf
 
 PENALTY_TERMS = ("bandwidth", "delay", "jitter", "interference")
+
+PENALTY_MODES = ("strict", "fidelity")
 
 
 class InvalidPathError(ValueError):
@@ -66,7 +67,7 @@ class PenaltyCoeffs:
     def __post_init__(self):
         if min(self.eta1, self.eta2, self.eta3, self.lam) < 0:
             raise ValueError("coefficients must be non-negative")
-        if self.clamp_mode not in ("strict", "fidelity"):
+        if self.clamp_mode not in PENALTY_MODES:
             raise ValueError("clamp_mode must be 'strict' or 'fidelity'")
 
     @classmethod
@@ -112,9 +113,6 @@ class FitnessBreakdown:
             "feasible": self.feasible,
             "valid": self.valid,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def path_metrics(topo: MeshTopology, path: list[int]) -> PathMetrics:
@@ -182,20 +180,17 @@ def fitness(topo: MeshTopology, path: list[int], req: QosRequest,
     )
 
 
-def oracle_best(topo: MeshTopology, source: int, gateways: set[int],
-                req: QosRequest, coeffs: PenaltyCoeffs,
-                max_hops: int | None = None,
-                cap: int = 500_000) -> tuple[list[int], FitnessBreakdown]:
+def oracle_best(topo: MeshTopology, source: int, req: QosRequest,
+                coeffs: PenaltyCoeffs) -> tuple[list[int], FitnessBreakdown]:
     """Exhaustive reference optimum over all simple source->gateway paths.
 
     Ties in F break lexicographically by node sequence.  Only tractable on
-    small graphs; the enumeration cap bounds the blow-up.
+    small graphs; the enumeration's default cap bounds the blow-up.
     """
-    if source in gateways:
+    if source in topo.gateways:
         raise ValueError("source is a gateway")
-    if max_hops is None:
-        max_hops = topo.node_count - 1
-    paths = enumerate_simple_paths(topo, source, set(gateways), max_hops, cap=cap)
+    paths = enumerate_simple_paths(topo, source, set(topo.gateways),
+                                   topo.node_count - 1)
     if not paths:
         raise ValueError("no gateway reachable from source")
     best = min(paths, key=lambda p: (fitness(topo, p, req, coeffs).total, p))

@@ -21,7 +21,11 @@ from .qos import FitnessBreakdown, PenaltyCoeffs, QosRequest, fitness
 from .topology import MeshTopology, validate_path
 
 
-class UnreachableGatewayError(RuntimeError):
+# Random walk attempts before falling back to the min-cost gateway path.
+WALK_RESTARTS = 50
+
+
+class UnreachableGatewayError(ValueError):
     """No gateway can be reached from the requested source."""
 
 
@@ -99,26 +103,27 @@ class RunResult:
 
 
 class RouteContext:
-    """Per-run bundle of topology, endpoints and QoS demand.
+    """Per-run bundle of topology, source and QoS demand; routes end at the
+    topology's gateways.
 
     The topology memoizes shortest paths per source, so alter() lookups and
     repair stitching stay cheap across thousands of operator applications.
     """
 
     def __init__(self, topo: MeshTopology, source: int,
-                 req: QosRequest, coeffs: PenaltyCoeffs,
-                 gateways: set[int] | None = None):
+                 req: QosRequest, coeffs: PenaltyCoeffs):
         if not topo.has_node(source):
             raise ValueError("unknown source node")
         self.topo = topo
         self.source = source
         self.req = req
         self.coeffs = coeffs
-        self.gateways = frozenset(gateways if gateways is not None else topo.gateways)
-        if not self.gateways:
-            raise ValueError("empty gateway set")
+        self.gateways = topo.gateways
         if source in self.gateways:
             raise ValueError("source is a gateway")
+        if self.nearest_gateway_path(source) is None:
+            raise UnreachableGatewayError(
+                f"no gateway reachable from node {source}")
 
     def nearest_gateway_path(self, node: int) -> list[int] | None:
         best = None
@@ -201,15 +206,14 @@ def _truncate_at_gateway(seq: list[int], gateways: frozenset[int]) -> list[int]:
 
 # -- swarm operators -------------------------------------------------------
 
-def random_walk_path(ctx: RouteContext, rng: random.Random,
-                     max_restarts: int = 50) -> list[int]:
+def random_walk_path(ctx: RouteContext, rng: random.Random) -> list[int]:
     """Loop-free random walk from the source to any gateway.
 
     Restarts after dead ends or a node-count hop cap; falls back to the
-    min-cost path to the nearest gateway once restarts are exhausted.
+    min-cost path to the nearest gateway after WALK_RESTARTS attempts.
     """
     topo = ctx.topo
-    for _ in range(max_restarts):
+    for _ in range(WALK_RESTARTS):
         path = [ctx.source]
         visited = {ctx.source}
         while len(path) <= topo.node_count:
@@ -222,20 +226,12 @@ def random_walk_path(ctx: RouteContext, rng: random.Random,
             visited.add(nxt)
             if nxt in ctx.gateways:
                 return path
-    fallback = ctx.nearest_gateway_path(ctx.source)
-    if fallback is None or len(fallback) < 2:
-        raise UnreachableGatewayError(
-            f"no gateway reachable from node {ctx.source}")
-    return fallback
+    return ctx.nearest_gateway_path(ctx.source)
 
 
 def init_swarm(ctx: RouteContext, config: HybridConfig,
                rng: random.Random) -> list[Particle]:
     """N loop-free random-walk particles from source to any gateway."""
-    greedy = ctx.nearest_gateway_path(ctx.source)
-    if greedy is None or len(greedy) < 2:
-        raise UnreachableGatewayError(
-            f"no gateway reachable from node {ctx.source}")
     paths = [random_walk_path(ctx, rng) for _ in range(config.swarm_size)]
     swarm = []
     for p in paths:
@@ -434,9 +430,8 @@ def _ga_offspring(parents: list[Particle], ctx: RouteContext,
 # -- main loop -------------------------------------------------------------
 
 def run(topo: MeshTopology, source: int, req: QosRequest,
-        coeffs: PenaltyCoeffs, config: HybridConfig,
-        gateways: set[int] | None = None) -> RunResult:
-    """Solve for a QoS-satisfying min-fitness route.
+        coeffs: PenaltyCoeffs, config: HybridConfig) -> RunResult:
+    """Solve for a QoS-satisfying min-fitness route to any gateway.
 
     One iteration: evaluate, refresh personal/global bests, split off the
     elite, apply the PSO merge to one share of the rest and crossover plus
@@ -445,7 +440,7 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
     iteration cap or after `stagnation_window` iterations without
     improvement.  Deterministic for a fixed seed, wall time aside.
     """
-    ctx = RouteContext(topo, source, req, coeffs, gateways)
+    ctx = RouteContext(topo, source, req, coeffs)
     rng = random.Random(config.rng_seed)
     # Pure PSO sends every non-elite particle to the merge, pure GA every
     # one to crossover.
@@ -466,10 +461,9 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
 
     for t in range(1, config.max_iterations + 1):
         iterations = t
+        # Every particle here was built with its fitness and personal best.
         for p in swarm:
-            if p.fitness is None:
-                p.fitness = ctx.fitness(p.path)
-            if p.pbest_fitness is None or p.fitness.total < p.pbest_fitness.total:
+            if p.fitness.total < p.pbest_fitness.total:
                 p.pbest_fitness = p.fitness
                 p.pbest_path = list(p.path)
         best_now = min(swarm, key=lambda p: (p.fitness.total, p.path))

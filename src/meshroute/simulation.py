@@ -8,7 +8,6 @@ ratio and the mean end-to-end delay of delivered packets.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,9 +43,6 @@ class SimResult:
             "packets": self.packet_count,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def simulate_path(topo: MeshTopology, path: list[int],
                   traffic: TrafficSpec) -> SimResult:
@@ -81,10 +77,8 @@ def simulate_path(topo: MeshTopology, path: list[int],
 
 def evaluate_routing(topo: MeshTopology, source: int, req: QosRequest,
                      coeffs: PenaltyCoeffs, config: HybridConfig,
-                     traffic: TrafficSpec,
-                     gateways: set[int] | None = None,
-                     ) -> tuple[RunResult, SimResult]:
+                     traffic: TrafficSpec) -> tuple[RunResult, SimResult]:
     """Solve for the best route, then push traffic through it."""
-    result = run(topo, source, req, coeffs, config, gateways)
+    result = run(topo, source, req, coeffs, config)
     sim = simulate_path(topo, result.best_path, traffic)
     return result, sim

@@ -25,9 +25,18 @@ import numpy as np
 
 # Normalized interference vs channel separation for 2.4 GHz partially
 # overlapping channels: co-channel is worst, >= 5 apart is orthogonal.
-DEFAULT_IFACTOR_TABLE = (1.0, 0.7, 0.4, 0.2, 0.1)
+IFACTOR_TABLE = (1.0, 0.7, 0.4, 0.2, 0.1)
 
 NUM_CHANNELS = 11
+
+# Generated links draw cost, delay, jitter and loss uniformly from these
+# ranges at BANDWIDTH; each generated node tunes RADIOS_PER_NODE channels.
+COST_RANGE = (2.0, 10.0)
+BANDWIDTH = 11.0
+DELAY_RANGE = (0.5, 2.0)
+JITTER_RANGE = (0.5, 2.0)
+LOSS_RANGE = (0.001, 0.10)
+RADIOS_PER_NODE = 2
 
 UNREACHABLE = math.inf
 
@@ -40,18 +49,17 @@ class PathExplosionError(RuntimeError):
     """Simple-path enumeration exceeded its configured cap."""
 
 
-def interference_factor(channel_separation: int,
-                        table: tuple[float, ...] = DEFAULT_IFACTOR_TABLE) -> float:
+def interference_factor(channel_separation: int) -> float:
     """Normalized interference between two links ``channel_separation`` apart.
 
     Non-increasing in separation: 1.0 for co-channel, 0.0 once the
-    separation reaches orthogonality (beyond the end of ``table``).
+    separation reaches orthogonality (beyond the end of IFACTOR_TABLE).
     """
     if channel_separation < 0:
         raise ValueError("channel separation must be non-negative")
-    if channel_separation >= len(table):
+    if channel_separation >= len(IFACTOR_TABLE):
         return 0.0
-    return table[channel_separation]
+    return IFACTOR_TABLE[channel_separation]
 
 
 @dataclass(frozen=True)
@@ -107,7 +115,8 @@ class Link:
 
 @dataclass(frozen=True)
 class TopologyParams:
-    """Knobs for the random-geometric generator.
+    """Knobs for the random-geometric generator; the link weight ranges and
+    radios per node are the module constants above.
 
     The default area is a square sized so the expected node degree stays
     around 4-6 at the default 250 m range: 1000x1000 m at 25 nodes, with the
@@ -116,14 +125,7 @@ class TopologyParams:
     node_count: int
     area: tuple[float, float] | None = None
     transmission_range: float = 250.0
-    cost_range: tuple[float, float] = (2.0, 10.0)
-    bandwidth: float = 11.0
-    delay_range: tuple[float, float] = (0.5, 2.0)
-    jitter_range: tuple[float, float] = (0.5, 2.0)
-    loss_range: tuple[float, float] = (0.001, 0.10)
     gateway_count: int = 3
-    radios_per_node: int = 2
-    ifactor_table: tuple[float, ...] = DEFAULT_IFACTOR_TABLE
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -131,10 +133,6 @@ class TopologyParams:
             raise TopologyError("node_count must be >= 2")
         if not 1 <= self.gateway_count < self.node_count:
             raise TopologyError("gateway_count must be in [1, node_count)")
-        for lo, hi in (self.cost_range, self.delay_range,
-                       self.jitter_range, self.loss_range):
-            if lo > hi:
-                raise TopologyError("range lower bound exceeds upper bound")
         if self.area is not None and (self.area[0] <= 0 or self.area[1] <= 0):
             raise TopologyError("degenerate area")
         if not (math.isfinite(self.transmission_range)
@@ -151,8 +149,10 @@ class TopologyParams:
 class MeshTopology:
     """Immutable weighted mesh graph with gateways.
 
-    Construction validates symmetry, connectivity of declared links, and the
-    gateway set; the instance is then safe to share across threads.
+    Construction checks that node ids are dense from 0, that every link joins
+    two known nodes and appears once, and that the gateway set is a
+    non-empty set of nodes.  It does not check connectivity: see
+    is_connected().  The instance is then safe to share across threads.
     """
 
     def __init__(self, nodes: list[Node], links: list[Link],
@@ -450,11 +450,11 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
     """Random-geometric mesh matching ``params``; pure function of the seed.
 
     Nodes are placed uniformly over the area; every pair within transmission
-    range gets a link with weights drawn uniformly from the configured
-    ranges.  Disconnected components are stitched by linking nearest
-    inter-component node pairs (flagged synthetic, exempt from the range
-    constraint).  Per-link interference is the worst channel overlap against
-    any link sharing an endpoint.
+    range gets a link with weights drawn uniformly from COST_RANGE,
+    DELAY_RANGE, JITTER_RANGE and LOSS_RANGE.  Disconnected components are
+    stitched by linking nearest inter-component node pairs (flagged
+    synthetic, exempt from the range constraint).  Per-link interference is
+    the worst channel overlap against any link sharing an endpoint.
     """
     rng = np.random.default_rng(params.rng_seed)
     width, height = params.resolved_area()
@@ -464,8 +464,7 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
     ys = rng.uniform(0.0, height, size=n)
     radios = [tuple(sorted(int(c) for c in
                            rng.choice(np.arange(1, NUM_CHANNELS + 1),
-                                      size=min(params.radios_per_node, NUM_CHANNELS),
-                                      replace=False)))
+                                      size=RADIOS_PER_NODE, replace=False)))
               for _ in range(n)]
     nodes = [Node(i, float(xs[i]), float(ys[i]), radios[i]) for i in range(n)]
 
@@ -475,11 +474,11 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
         channel = int(rng.choice(pool))
         return Link(
             u, v, channel,
-            cost=float(rng.uniform(*params.cost_range)),
-            bandwidth=params.bandwidth,
-            delay=float(rng.uniform(*params.delay_range)),
-            jitter=float(rng.uniform(*params.jitter_range)),
-            loss_prob=float(rng.uniform(*params.loss_range)),
+            cost=float(rng.uniform(*COST_RANGE)),
+            bandwidth=BANDWIDTH,
+            delay=float(rng.uniform(*DELAY_RANGE)),
+            jitter=float(rng.uniform(*JITTER_RANGE)),
+            loss_prob=float(rng.uniform(*LOSS_RANGE)),
             synthetic=synthetic,
         )
 
@@ -540,7 +539,7 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
                 if other_key == key:
                     continue
                 sep = abs(link.channel - links[other_key].channel)
-                worst = max(worst, interference_factor(sep, params.ifactor_table))
+                worst = max(worst, interference_factor(sep))
         finished.append(replace(link, i_factor=worst))
 
     gateways = _pick_gateways(np.stack([xs, ys], axis=1),

@@ -178,7 +178,7 @@ def test_criterion_2_oracle_equivalence():
         topo = generate_topology(TopologyParams(node_count=n, rng_seed=100 + i))
         source = default_source(topo)
         coeffs = PenaltyCoeffs.for_request(REQ, topo, mode="strict")
-        _, best = oracle_best(topo, source, set(topo.gateways), REQ, coeffs)
+        _, best = oracle_best(topo, source, REQ, coeffs)
         for alg in ALGS:
             result = run(topo, source, REQ, coeffs,
                          HybridConfig(rng_seed=1000 + i, algorithm=alg))

@@ -126,26 +126,39 @@ def test_equal_cost_ties_after_round_trip():
 BENCH_PLAN = dict(node_sizes=[12, 25], seeds_per_cell=2, max_iterations=20,
                   packet_count=500)
 # Wall times vary run to run; every other column of every table is pinned.
-WALL_COLUMNS = ("time_to_best_ms", "wall_time_ms")
+WALL_COLUMNS = ("time_to_best_ms", "wall_time_ms", "median_time_to_best_ms")
 
 # sha256 of bench_digest(), recorded on the sweep that ran one cell per
 # (size, algorithm) and regenerated each instance for every algorithm.
 BENCH_SHA256 = (
     "7ce2e6202c55505d1ed38035039ce5011217e95bd76fecbe979e2e9761e57806")
 
+# sha256 of the summary.csv part of bench_digest(), recorded before
+# write_bench_outputs computed the summary from numbers instead of from the
+# table strings.
+SUMMARY_SHA256 = (
+    "425d6907cb7398c68dbedb806dbfcd2aae842f8811c6ea3b67d8ac5629c75654")
 
-def bench_digest(out_dir) -> str:
-    digest = hashlib.sha256()
-    for name in ("fitness_trace.csv", "pdr.csv", "delay.csv"):
-        digest.update((out_dir / name).read_bytes())
-    with open(out_dir / "convergence_time.csv", newline="") as fh:
+
+def _update_without_wall_times(digest, path) -> None:
+    with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
             kept = {k: v for k, v in row.items() if k not in WALL_COLUMNS}
             digest.update(json.dumps(kept, sort_keys=True).encode())
-    return digest.hexdigest()
+
+
+def bench_digest(out_dir) -> tuple[str, str]:
+    """sha256 of the four per-run tables, and of summary.csv."""
+    digest = hashlib.sha256()
+    for name in ("fitness_trace.csv", "pdr.csv", "delay.csv"):
+        digest.update((out_dir / name).read_bytes())
+    _update_without_wall_times(digest, out_dir / "convergence_time.csv")
+    summary = hashlib.sha256()
+    _update_without_wall_times(summary, out_dir / "summary.csv")
+    return digest.hexdigest(), summary.hexdigest()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_bench_outputs_unchanged(tmp_path, workers):
     run_bench(ExperimentPlan(**BENCH_PLAN), str(tmp_path), workers=workers)
-    assert bench_digest(tmp_path) == BENCH_SHA256
+    assert bench_digest(tmp_path) == (BENCH_SHA256, SUMMARY_SHA256)

@@ -5,7 +5,10 @@ import statistics
 import pytest
 
 from meshroute import MeshTopology, PenaltyCoeffs, QosRequest, oracle_best
+from meshroute import cli
 from meshroute.cli import ExperimentPlan, default_source, main, run_bench
+
+from conftest import make_topo
 
 
 def read_csv(path):
@@ -73,7 +76,7 @@ class TestRoute:
         req = QosRequest(5.0, 10.0, 2.5, 0.0)
         coeffs = PenaltyCoeffs.for_request(req, topo)
         source = default_source(topo)
-        _, fb = oracle_best(topo, source, set(topo.gateways), req, coeffs)
+        _, fb = oracle_best(topo, source, req, coeffs)
         assert data["best_fitness"]["total"] == pytest.approx(fb.total)
 
     def test_gateway_source_is_usage_error(self, topo_file, capsys):
@@ -81,6 +84,15 @@ class TestRoute:
         gateway = min(topo.gateways)
         assert main(["route", topo_file, "--source", str(gateway)]) == 2
         assert "error: source is a gateway" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source_args", [[], ["--source", "0"]])
+    def test_unreachable_gateway_is_usage_error(self, tmp_path, capsys,
+                                                source_args):
+        # Gateway 2 has no link: no node can reach it.
+        doc = tmp_path / "cut.json"
+        doc.write_text(make_topo(3, {(0, 1): {}}, gateways={2}).to_json())
+        assert main(["route", str(doc), *source_args]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_file_errors(self, capsys):
         assert main(["route", "/nonexistent/topo.json"]) == 1
@@ -135,10 +147,11 @@ class TestBench:
         original = read_csv(tmp_path / "convergence_time.csv")
         assert len(original) == plan.seeds_per_cell
         for index, row in enumerate(original):
-            [rerun] = run_cell(12, index, plan)[(12, "hybrid")]["time"]
-            assert row["seed"] == str(rerun[2])
-            assert row["best_total"] == rerun[7]
-            assert row["iterations_to_best"] == str(rerun[4])
+            [((size, algorithm, seed), rerun, _)] = run_cell(12, index, plan)
+            assert (size, algorithm) == (12, "hybrid")
+            assert row["seed"] == str(seed)
+            assert row["best_total"] == repr(rerun.best_fitness.total)
+            assert row["iterations_to_best"] == str(rerun.iterations_to_best)
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "plan.json"
@@ -148,6 +161,30 @@ class TestBench:
                    "--out-dir", str(out_dir)])
         assert rc == 0
         assert len(read_csv(out_dir / "pdr.csv")) == 1
+
+    @pytest.mark.parametrize("document", [
+        {"swarmsize": 30},
+        [1, 2],
+        {"swarm_size": 2.5},
+        {"seeds_per_cell": True},
+        {"packet_count": 0},
+        {"penalty_mode": "bogus"},
+    ], ids=["unknown-key", "not-an-object", "float-count", "bool-count",
+            "zero-packets", "bad-penalty-mode"])
+    def test_bad_plan_file_rejected_on_load(self, tmp_path, capsys,
+                                            monkeypatch, document):
+        if isinstance(document, dict):
+            document = {**self.PLAN, **document}
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps(document))
+
+        def generate_topology(params):
+            raise AssertionError("a bad plan reached the sweep")
+        monkeypatch.setattr(cli, "generate_topology", generate_topology)
+        rc = main(["bench", "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_parallel_matches_serial(self, tmp_path):
         plan = ExperimentPlan(node_sizes=[10], algorithms=["pso", "hybrid"],

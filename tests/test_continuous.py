@@ -10,7 +10,6 @@ from meshroute import (
     run_continuous,
     vpac_crossover,
 )
-from meshroute.continuous import trace_to_csv
 
 
 def particle(x, v, pbest=None):
@@ -146,9 +145,3 @@ class TestRunContinuous:
         _, value, trace = run_continuous(rastrigin, cfg)
         assert value < trace[0]
         assert value < 2.0
-
-    def test_trace_csv(self):
-        text = trace_to_csv([3.0, 1.5])
-        lines = text.strip().splitlines()
-        assert lines[0] == "iteration,best_value"
-        assert lines[1].startswith("1,") and lines[2].startswith("2,")

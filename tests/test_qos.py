@@ -171,7 +171,7 @@ class TestFitness:
 
 class TestOracle:
     def test_direct_beats_detour(self, triangle):
-        path, fb = oracle_best(triangle, 0, {2}, REQ, STRICT)
+        path, fb = oracle_best(triangle, 0, REQ, STRICT)
         assert path == [0, 2]
         assert fb.total == 5.0
 
@@ -187,13 +187,13 @@ class TestOracle:
         coeffs = PenaltyCoeffs(1.0, 1.0, 1.0, lam=10.0)
         assert fitness(topo, [0, 2], req, coeffs).total == pytest.approx(25.0)
         assert fitness(topo, [0, 1, 2], req, coeffs).total == pytest.approx(8.0)
-        path, fb = oracle_best(topo, 0, {2}, req, coeffs)
+        path, fb = oracle_best(topo, 0, req, coeffs)
         assert path == [0, 1, 2]
         assert fb.total == pytest.approx(8.0)
 
     def test_gateway_source_rejected(self, triangle):
         with pytest.raises(ValueError, match="source is a gateway"):
-            oracle_best(triangle, 2, {2}, REQ, STRICT)
+            oracle_best(triangle, 2, REQ, STRICT)
 
     def test_tie_breaks_lexicographically(self):
         topo = make_topo(4, {
@@ -202,7 +202,7 @@ class TestOracle:
             (0, 2): {"cost": 3.0},
             (2, 3): {"cost": 3.0},
         }, gateways={3})
-        path, _ = oracle_best(topo, 0, {3}, REQ, STRICT)
+        path, _ = oracle_best(topo, 0, REQ, STRICT)
         assert path == [0, 1, 3]
 
     def test_feasible_argmin_is_cost_argmin(self):
@@ -210,7 +210,7 @@ class TestOracle:
         lax = QosRequest(bw_req=1.0, d_req=1e6, j_req=1e6, beta=0.0)
         coeffs = PenaltyCoeffs.for_request(lax, topo)
         src = source_for(topo)
-        path, fb = oracle_best(topo, src, set(topo.gateways), lax, coeffs)
+        path, fb = oracle_best(topo, src, lax, coeffs)
         assert fb.feasible
         best_cost = min(topo.shortest_path_cost(src, g) for g in topo.gateways)
         assert fb.objective == pytest.approx(best_cost)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshroute import (
     HybridConfig,
@@ -221,9 +222,8 @@ class TestSwarmMachinery:
 
     def test_unreachable_gateway_raises(self):
         topo = make_topo(3, {(0, 1): {}}, gateways={2})
-        ctx = ctx_for(topo, 0)
         with pytest.raises(UnreachableGatewayError):
-            init_swarm(ctx, HybridConfig(), random.Random(0))
+            ctx_for(topo, 0)
 
     def _evaluated_swarm(self, n, ctx, rng):
         swarm = init_swarm(ctx, HybridConfig(swarm_size=n), rng)
@@ -319,7 +319,7 @@ class TestRun:
         coeffs = PenaltyCoeffs.for_request(req, topo)
         src = source_for(topo)
         res = run(topo, src, req, coeffs, HybridConfig(rng_seed=1))
-        _, oracle_fb = oracle_best(topo, src, set(topo.gateways), req, coeffs)
+        _, oracle_fb = oracle_best(topo, src, req, coeffs)
         assert res.best_fitness.total == pytest.approx(oracle_fb.total)
 
     @pytest.mark.parametrize("algorithm", ["pso", "ga", "hybrid"])
@@ -329,7 +329,7 @@ class TestRun:
         src = source_for(topo)
         res = run(topo, src, REQ, coeffs,
                   HybridConfig(rng_seed=3, algorithm=algorithm))
-        _, oracle_fb = oracle_best(topo, src, set(topo.gateways), REQ, coeffs)
+        _, oracle_fb = oracle_best(topo, src, REQ, coeffs)
         assert res.best_fitness.total >= oracle_fb.total - 1e-9
 
     def test_best_path_always_valid(self):
@@ -338,3 +338,47 @@ class TestRun:
         for seed in range(3):
             res = run(topo, source_for(topo), REQ, coeffs, HybridConfig(rng_seed=seed))
             assert validate_path(topo, res.best_path)
+
+
+@st.composite
+def small_meshes(draw):
+    """A generated 8-12-node mesh and a non-gateway source on it."""
+    topo = generate_topology(TopologyParams(
+        node_count=draw(st.integers(8, 12)),
+        rng_seed=draw(st.integers(0, 2**16))))
+    source = draw(st.sampled_from(
+        [n for n in range(topo.node_count) if n not in topo.gateways]))
+    return topo, source
+
+
+class TestProperties:
+    BENCH_REQ = QosRequest(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.0)
+
+    @settings(max_examples=12, deadline=None)
+    @given(mesh=small_meshes(), seed=st.integers(0, 2**16))
+    def test_solvers_return_valid_monotone_routes_no_better_than_oracle(
+            self, mesh, seed):
+        topo, source = mesh
+        coeffs = PenaltyCoeffs.for_request(self.BENCH_REQ, topo)
+        _, oracle = oracle_best(topo, source, self.BENCH_REQ, coeffs)
+        for algorithm in ("pso", "ga", "hybrid"):
+            res = run(topo, source, self.BENCH_REQ, coeffs,
+                      HybridConfig(rng_seed=seed, algorithm=algorithm))
+            assert res.best_path[0] == source
+            assert validate_path(topo, res.best_path)
+            trace = res.fitness_trace
+            assert all(a >= b for a, b in zip(trace, trace[1:]))
+            assert res.best_fitness.total >= oracle.total
+
+    @settings(max_examples=60, deadline=None)
+    @given(mesh=small_meshes(), from_source=st.booleans(), data=st.data())
+    def test_repair_returns_valid_route_or_none(self, mesh, from_source,
+                                                data):
+        topo, source = mesh
+        nodes = st.integers(-1, topo.node_count)
+        raw = data.draw(st.lists(nodes, min_size=1, max_size=12))
+        if from_source:
+            raw = [source] + raw
+        repaired = repair_path(raw, ctx_for(topo, source))
+        assert repaired is None or (repaired[0] == source
+                                    and validate_path(topo, repaired))

@@ -92,8 +92,6 @@ class TestGeneration:
             TopologyParams(node_count=5, gateway_count=5)
         with pytest.raises(TopologyError):
             TopologyParams(node_count=5, area=(0.0, 100.0))
-        with pytest.raises(TopologyError):
-            TopologyParams(node_count=5, cost_range=(10.0, 2.0))
 
     @pytest.mark.parametrize("reach", [0.0, -250.0, math.nan, math.inf])
     def test_bad_transmission_range_rejected(self, reach):
@@ -168,6 +166,14 @@ class TestMultiSourceCosts:
             for p in (0.0, 0.25, 0.5, 0.95):
                 assert default_source(topo, p) == \
                     ranked[int(len(ranked) * p)][1]
+
+    def test_default_source_ranks_only_nodes_that_reach_a_gateway(self):
+        # Nodes 3 and 4 have no route to gateway 2.
+        topo = make_topo(5, {(0, 1): {}, (1, 2): {}, (3, 4): {}},
+                         gateways={2})
+        assert [default_source(topo, p) for p in (0.0, 0.95)] == [1, 0]
+        with pytest.raises(TopologyError):
+            default_source(make_topo(3, {(0, 1): {}}, gateways={2}))
 
 
 class TestAdjacency:
