@@ -54,6 +54,5 @@ from .continuous import (
     vpac_crossover,
 )
 from .simulation import SimResult, TrafficSpec, evaluate_routing, simulate_path
-from .cli import ExperimentPlan, run_bench
 
 __version__ = "0.1.0"

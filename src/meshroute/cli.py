@@ -274,8 +274,12 @@ def cmd_route(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    plan = (ExperimentPlan.from_file(args.config) if args.config
-            else ExperimentPlan())
+    try:
+        plan = (ExperimentPlan.from_file(args.config) if args.config
+                else ExperimentPlan())
+    except OSError as exc:
+        print(f"error: cannot load {args.config}: {exc}", file=sys.stderr)
+        return 1
     overrides = {}
     if args.sizes:
         overrides["node_sizes"] = args.sizes

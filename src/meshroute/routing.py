@@ -106,8 +106,9 @@ class RouteContext:
     """Per-run bundle of topology, source and QoS demand; routes end at the
     topology's gateways.
 
-    The topology memoizes shortest paths per source, so alter() lookups and
-    repair stitching stay cheap across thousands of operator applications.
+    The topology memoizes shortest paths per source, so repair stitching
+    stays cheap across thousands of operator applications; the context
+    holds the source's cost row for alter() and each route's fitness.
     """
 
     def __init__(self, topo: MeshTopology, source: int,
@@ -124,6 +125,10 @@ class RouteContext:
         if self.nearest_gateway_path(source) is None:
             raise UnreachableGatewayError(
                 f"no gateway reachable from node {source}")
+        # alter() compares source costs at every aligned position, so the
+        # row is read once here rather than looked up node by node.
+        self.source_costs = topo.shortest_path_costs(source)
+        self._scores: dict[tuple[int, ...], FitnessBreakdown] = {}
 
     def nearest_gateway_path(self, node: int) -> list[int] | None:
         best = None
@@ -136,7 +141,20 @@ class RouteContext:
         return self.topo.shortest_path(node, best[1])
 
     def fitness(self, path: list[int]) -> FitnessBreakdown:
-        return fitness(self.topo, path, self.req, self.coeffs)
+        """F of ``path``, computed once per distinct node sequence.
+
+        fitness() is pure for this context's topology, request and
+        coefficients, so a route the swarm revisits is not scored again;
+        the memo lives as long as the context, which is one run.  Keys are
+        tuples, so sequences that compare equal (1, 1.0, True) share a
+        score: the operators only produce int node ids.
+        """
+        key = tuple(path)
+        scored = self._scores.get(key)
+        if scored is None:
+            scored = self._scores[key] = fitness(self.topo, path, self.req,
+                                                 self.coeffs)
+        return scored
 
 
 # -- path surgery ----------------------------------------------------------
@@ -169,7 +187,8 @@ def repair_path(raw: list[int], ctx: RouteContext) -> list[int] | None:
     """
     if not raw or raw[0] != ctx.source:
         return None
-    if any(not ctx.topo.has_node(u) for u in raw):
+    n = ctx.topo.node_count
+    if any(not 0 <= u < n for u in raw):
         return None
     stitched = [raw[0]]
     for v in raw[1:]:
@@ -212,21 +231,23 @@ def random_walk_path(ctx: RouteContext, rng: random.Random) -> list[int]:
     Restarts after dead ends or a node-count hop cap; falls back to the
     min-cost path to the nearest gateway after WALK_RESTARTS attempts.
     """
-    topo = ctx.topo
+    source, gateways = ctx.source, ctx.gateways
+    neighbors, max_nodes = ctx.topo.neighbors, ctx.topo.node_count
+    choice = rng.choice
     for _ in range(WALK_RESTARTS):
-        path = [ctx.source]
-        visited = {ctx.source}
-        while len(path) <= topo.node_count:
-            options = [v for v in topo.neighbors(path[-1])
-                       if v not in visited]
+        path = [source]
+        visited = {source}
+        node = source
+        while len(path) <= max_nodes:
+            options = [v for v in neighbors(node) if v not in visited]
             if not options:
                 break
-            nxt = rng.choice(options)
-            path.append(nxt)
-            visited.add(nxt)
-            if nxt in ctx.gateways:
+            node = choice(options)
+            path.append(node)
+            visited.add(node)
+            if node in gateways:
                 return path
-    return ctx.nearest_gateway_path(ctx.source)
+    return ctx.nearest_gateway_path(source)
 
 
 def init_swarm(ctx: RouteContext, config: HybridConfig,
@@ -243,9 +264,10 @@ def init_swarm(ctx: RouteContext, config: HybridConfig,
 
 def alter(a: int, b: int, ctx: RouteContext) -> int:
     """Keep whichever node is cheaper to reach from the source; ties keep
-    the first argument."""
-    cost = ctx.topo.shortest_path_cost
-    if cost(ctx.source, b) < cost(ctx.source, a):
+    the first argument.  Both must be node ids of the context's topology:
+    they index its cost row unchecked."""
+    cost = ctx.source_costs
+    if cost[b] < cost[a]:
         return b
     return a
 
@@ -397,8 +419,9 @@ def _tournament(pool: list[Particle], rng: random.Random) -> Particle:
 
 
 def _child(path: list[int], parent: Particle, ctx: RouteContext) -> Particle:
+    # Personal-best lists are replaced, never mutated, so children share them.
     return Particle(path=path, fitness=ctx.fitness(path),
-                    pbest_path=list(parent.pbest_path),
+                    pbest_path=parent.pbest_path,
                     pbest_fitness=parent.pbest_fitness)
 
 

@@ -9,7 +9,8 @@ its neighboring links.
 
 The graph is held in plain per-node tuples built once at construction, and
 shortest paths come from one heapq Dijkstra over dense distance/predecessor
-lists; numpy (used by the generator) is the only third-party dependency.
+lists, cached per source as compact arrays; numpy (used by the generator) is
+the only third-party dependency.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from collections.abc import Iterable, Set as AbstractSet
+from array import array
+from collections.abc import Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -183,7 +185,7 @@ class MeshTopology:
         self._weighted_adj = tuple(tuple(w) for w in weighted)
         self._adj = tuple(tuple(sorted(v for v, _ in w)) for w in weighted)
         self._adj_sets = tuple(frozenset(a) for a in self._adj)
-        self._dijkstra_cache: dict[int, tuple[list[float], list[int]]] = {}
+        self._dijkstra_cache: dict[int, tuple[array, array]] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -258,10 +260,15 @@ class MeshTopology:
                     pushes += 1
         return dist, pred
 
-    def _source_dijkstra(self, source: int) -> tuple[list[float], list[int]]:
+    def _source_dijkstra(self, source: int) -> tuple[array, array]:
+        # Cached trees are flat double/long arrays: a list of distances
+        # holds a pointer and a 24-byte float object per node, an array the
+        # 8-byte double alone.
         tree = self._dijkstra_cache.get(source)
         if tree is None:
-            tree = self._dijkstra_cache[source] = self._dijkstra((source,))
+            dist, pred = self._dijkstra((source,))
+            tree = self._dijkstra_cache[source] = (array("d", dist),
+                                                   array("l", pred))
         return tree
 
     def costs_from(self, sources: Iterable[int]) -> list[float]:
@@ -277,6 +284,13 @@ class MeshTopology:
         if not (self.has_node(source) and self.has_node(target)):
             raise TopologyError("unknown node id")
         return self._source_dijkstra(source)[0][target]
+
+    def shortest_path_costs(self, source: int) -> Sequence[float]:
+        """shortest_path_cost from ``source`` to every node, indexed by node
+        id.  This is the cached row itself: read it, never modify it."""
+        if not self.has_node(source):
+            raise TopologyError("unknown node id")
+        return self._source_dijkstra(source)[0]
 
     def shortest_path(self, source: int, target: int,
                       avoid: AbstractSet[int] = frozenset(),
@@ -353,13 +367,20 @@ def validate_path(topo: MeshTopology, path: list[int],
     """
     if not path:
         return False
-    if any(not isinstance(u, (int, np.integer)) or isinstance(u, bool)
-           or not topo.has_node(u) for u in path):
-        return False
+    n = topo.node_count
+    for u in path:
+        # Plain ints skip the isinstance checks; bool is an int subclass
+        # but never a node id.
+        if type(u) is not int and (isinstance(u, bool) or
+                                   not isinstance(u, (int, np.integer))):
+            return False
+        if not 0 <= u < n:
+            return False
     if len(set(path)) != len(path):
         return False
+    adjacent = topo.adjacent
     for u, v in zip(path, path[1:]):
-        if not topo.adjacent(u, v):
+        if not adjacent(u, v):
             return False
     if require_gateway and path[-1] not in topo.gateways:
         return False

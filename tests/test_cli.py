@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +15,24 @@ from meshroute.cli import ExperimentPlan, default_source, main, run_bench
 from conftest import make_topo
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def test_module_entry_point_prints_no_warning():
+    # Importing meshroute must not import meshroute.cli, or runpy warns
+    # that the module it is about to run is already in sys.modules.
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "meshroute.cli", "--help"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stderr == ""
 
 
 class TestGen:
@@ -185,6 +204,13 @@ class TestBench:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_plan_file_errors(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["bench", "--config", str(missing),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot load {missing}:")
 
     def test_parallel_matches_serial(self, tmp_path):
         plan = ExperimentPlan(node_sizes=[10], algorithms=["pso", "hybrid"],

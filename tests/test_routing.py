@@ -25,12 +25,21 @@ from meshroute import (
     two_point_crossover,
     validate_path,
 )
+from meshroute import routing
+from meshroute.cli import default_source
 from meshroute.routing import Particle, remove_loops
 
 from conftest import make_topo, merge_demo_topo, source_for
 
 
 REQ = QosRequest(bw_req=5.0, d_req=100.0, j_req=100.0, beta=0.0)
+
+
+def without_wall_times(result):
+    d = result.to_dict()
+    for key in ("wall_time_ms", "time_to_best_ms", "iteration_times_ms"):
+        d.pop(key)
+    return d
 
 
 def ctx_for(topo, source):
@@ -297,12 +306,7 @@ class TestRun:
         src = source_for(topo)
         a = run(topo, src, REQ, coeffs, config)
         b = run(topo, src, REQ, coeffs, config)
-        da, db = a.to_dict(), b.to_dict()
-        for d in (da, db):
-            d.pop("wall_time_ms")
-            d.pop("time_to_best_ms")
-            d.pop("iteration_times_ms")
-        assert da == db
+        assert without_wall_times(a) == without_wall_times(b)
 
     def test_trace_nonincreasing_and_matches_best(self):
         topo = generate_topology(TopologyParams(node_count=30, rng_seed=6))
@@ -331,6 +335,28 @@ class TestRun:
                   HybridConfig(rng_seed=3, algorithm=algorithm))
         _, oracle_fb = oracle_best(topo, src, REQ, coeffs)
         assert res.best_fitness.total >= oracle_fb.total - 1e-9
+
+    @pytest.mark.parametrize("algorithm", ["pso", "ga", "hybrid"])
+    def test_each_route_scored_once_per_run(self, monkeypatch, algorithm):
+        topo = generate_topology(TopologyParams(node_count=125, rng_seed=0))
+        req = QosRequest(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.0)
+        coeffs = PenaltyCoeffs.for_request(req, topo)
+        source = default_source(topo, 0.75)
+        config = HybridConfig(rng_seed=4, algorithm=algorithm)
+        plain = run(topo, source, req, coeffs, config)
+
+        scored = []
+        fitness = routing.fitness
+
+        def recording(topo, path, req, coeffs):
+            scored.append(tuple(path))
+            return fitness(topo, path, req, coeffs)
+        monkeypatch.setattr(routing, "fitness", recording)
+        recorded = run(topo, source, req, coeffs, config)
+
+        assert recorded.iterations_executed > 1
+        assert len(scored) == len(set(scored))
+        assert without_wall_times(recorded) == without_wall_times(plain)
 
     def test_best_path_always_valid(self):
         topo = generate_topology(TopologyParams(node_count=40, rng_seed=13))

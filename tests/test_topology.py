@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from meshroute import (
@@ -18,6 +20,7 @@ from meshroute import (
 )
 
 from meshroute.cli import default_source
+from meshroute.topology import BANDWIDTH
 
 from conftest import LINK_DEFAULTS, make_topo, source_for
 
@@ -98,6 +101,18 @@ class TestGeneration:
         with pytest.raises(TopologyError):
             TopologyParams(node_count=5, transmission_range=reach)
 
+    def test_bandwidth_and_interference_saturation_pinned(self):
+        # Today's link model: one bandwidth everywhere, and 2 radios per node
+        # put most links on a channel shared with a neighbouring link.  A
+        # change to that model must show here as a deliberate diff.
+        links = [link for seed in range(5)
+                 for link in generate_topology(TopologyParams(
+                     node_count=200, rng_seed=seed)).links]
+        assert all(link.bandwidth == BANDWIDTH for link in links)
+        assert len(links) == 2285
+        assert Counter(link.i_factor for link in links) == {
+            1.0: 1909, 0.7: 229, 0.4: 74, 0.2: 36, 0.1: 21, 0.0: 16}
+
 
 class TestShortestPath:
     def test_line_graph_sum(self, line3):
@@ -117,6 +132,15 @@ class TestShortestPath:
     def test_unreachable_marker(self):
         topo = make_topo(3, {(0, 1): {}}, gateways={1})
         assert topo.shortest_path_cost(0, 2) == UNREACHABLE
+
+    def test_cost_row_matches_pairwise_costs(self):
+        topo = make_topo(4, {(0, 1): {"cost": 3.0}, (1, 2): {"cost": 4.0}},
+                         gateways={2})
+        for s in range(4):
+            assert list(topo.shortest_path_costs(s)) == [
+                topo.shortest_path_cost(s, t) for t in range(4)]
+        with pytest.raises(TopologyError):
+            topo.shortest_path_costs(4)
 
     def test_avoid_forces_detour(self):
         topo = make_topo(4, {(0, 1): {}, (1, 3): {}, (0, 2): {"cost": 5.0},
@@ -302,6 +326,18 @@ class TestValidatePath:
         topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
         assert validate_path(topo, [int(u) for u in path])
         assert not validate_path(topo, path)
+
+    @pytest.mark.parametrize("path,valid", [
+        ([24, 8, 22, 4], True),
+        ([np.int64(u) for u in (24, 8, 22, 4)], True),
+        ([24.0, 8, 22, 4], False),
+        # -1 would index node 24's neighbours, 25 past the end.
+        ([-1, 8, 22, 4], False),
+        ([25, 8, 22, 4], False),
+    ], ids=["int", "np-int64", "float", "negative", "out-of-range"])
+    def test_node_id_types(self, path, valid):
+        topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
+        assert validate_path(topo, path) is valid
 
 
 class TestSerialization:
