@@ -114,9 +114,7 @@ def default_source(topo: MeshTopology, percentile: float = 0.25) -> int:
     difficulty of the routing problem scales with network size instead of
     depending on which node happened to be labelled first.
     """
-    # One Dijkstra from all gateways at once: links are undirected, so a
-    # node's cost from its nearest gateway is its cost to it.
-    cost = topo.costs_from(sorted(topo.gateways))
+    cost = topo.gateway_costs()
     ranked = sorted((cost[n], n) for n in range(topo.node_count)
                     if n not in topo.gateways and cost[n] != math.inf)
     if not ranked:

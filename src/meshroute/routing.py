@@ -61,12 +61,14 @@ class HybridConfig:
             raise ValueError("algorithm must be pso, ga or hybrid")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Particle:
+    """A route and personal best, fixed when the particle is made; route
+    lists are shared between particles and never modified."""
     path: list[int]
-    fitness: FitnessBreakdown | None = None
-    pbest_path: list[int] = field(default_factory=list)
-    pbest_fitness: FitnessBreakdown | None = None
+    fitness: FitnessBreakdown
+    pbest_path: list[int]
+    pbest_fitness: FitnessBreakdown
 
 
 @dataclass
@@ -122,23 +124,13 @@ class RouteContext:
         self.gateways = topo.gateways
         if source in self.gateways:
             raise ValueError("source is a gateway")
-        if self.nearest_gateway_path(source) is None:
+        if topo.gateway_path(source) is None:
             raise UnreachableGatewayError(
                 f"no gateway reachable from node {source}")
         # alter() compares source costs at every aligned position, so the
         # row is read once here rather than looked up node by node.
         self.source_costs = topo.shortest_path_costs(source)
         self._scores: dict[tuple[int, ...], FitnessBreakdown] = {}
-
-    def nearest_gateway_path(self, node: int) -> list[int] | None:
-        best = None
-        for g in sorted(self.gateways):
-            cost = self.topo.shortest_path_cost(node, g)
-            if cost != math.inf and (best is None or cost < best[0]):
-                best = (cost, g)
-        if best is None:
-            return None
-        return self.topo.shortest_path(node, best[1])
 
     def fitness(self, path: list[int]) -> FitnessBreakdown:
         """F of ``path``, computed once per distinct node sequence.
@@ -183,7 +175,9 @@ def repair_path(raw: list[int], ctx: RouteContext) -> list[int] | None:
 
     Non-adjacent consecutive pairs are bridged with the min-cost subpath,
     loops excised, and a min-cost suffix appended when the sequence does not
-    end at a gateway.  Returns None when no valid path can be built.
+    end at a gateway.  Returns None when no valid path can be built.  A
+    returned route is valid by construction: excision keeps adjacency and
+    the source, truncation keeps a prefix, and the suffix ends at a gateway.
     """
     if not raw or raw[0] != ctx.source:
         return None
@@ -205,14 +199,10 @@ def repair_path(raw: list[int], ctx: RouteContext) -> list[int] | None:
     seq = remove_loops(stitched)
     seq = _truncate_at_gateway(seq, ctx.gateways)
     if seq[-1] not in ctx.gateways:
-        suffix = ctx.nearest_gateway_path(seq[-1])
-        if suffix is None:
-            return None
-        seq = _truncate_at_gateway(remove_loops(seq + suffix[1:]),
-                                   ctx.gateways)
-    if seq[0] == ctx.source and validate_path(ctx.topo, seq):
-        return seq
-    return None
+        # seq holds no gateway.  seq[-1] is connected to the source, which
+        # reaches a gateway, and its tree path holds one gateway, at its end.
+        seq = remove_loops(seq + ctx.topo.gateway_path(seq[-1])[1:])
+    return seq
 
 
 def _truncate_at_gateway(seq: list[int], gateways: frozenset[int]) -> list[int]:
@@ -247,19 +237,14 @@ def random_walk_path(ctx: RouteContext, rng: random.Random) -> list[int]:
             visited.add(node)
             if node in gateways:
                 return path
-    return ctx.nearest_gateway_path(source)
+    return ctx.topo.gateway_path(source)
 
 
 def init_swarm(ctx: RouteContext, config: HybridConfig,
                rng: random.Random) -> list[Particle]:
     """N loop-free random-walk particles from source to any gateway."""
     paths = [random_walk_path(ctx, rng) for _ in range(config.swarm_size)]
-    swarm = []
-    for p in paths:
-        fit = ctx.fitness(p)
-        swarm.append(Particle(path=p, fitness=fit,
-                              pbest_path=list(p), pbest_fitness=fit))
-    return swarm
+    return [_fresh(p, ctx) for p in paths]
 
 
 def alter(a: int, b: int, ctx: RouteContext) -> int:
@@ -304,7 +289,7 @@ def oplus_update(particle: Particle, gbest_path: list[int], ctx: RouteContext,
     p2 = min(1.0, config.c2 * rng.random())
     step = combine_paths(step, gbest_path, ctx, p2, rng)
     repaired = repair_path(step, ctx)
-    return repaired if repaired is not None else list(particle.path)
+    return repaired if repaired is not None else particle.path
 
 
 def crossover_children(p1: list[int], p2: list[int],
@@ -338,13 +323,13 @@ def two_point_crossover(p1: list[int], p2: list[int], ctx: RouteContext,
     repair fails falls back to its base parent.
     """
     if len(p1) < 3 or len(p2) < 3:
-        return list(p1), list(p2)
+        return p1, p2
     cuts = (draw_cuts(p1, p2, rng), draw_cuts(p2, p1, rng))
     raw1, raw2 = crossover_children(p1, p2, cuts)
     child1 = repair_path(remove_loops(raw1), ctx)
     child2 = repair_path(remove_loops(raw2), ctx)
-    return (child1 if child1 is not None else list(p1),
-            child2 if child2 is not None else list(p2))
+    return (child1 if child1 is not None else p1,
+            child2 if child2 is not None else p2)
 
 
 def mutate(path: list[int], ctx: RouteContext, rng: random.Random,
@@ -352,16 +337,16 @@ def mutate(path: list[int], ctx: RouteContext, rng: random.Random,
     """With probability ``mutation_rate``, drop one interior node and bridge
     the gap with the cheapest detour that avoids it; no detour, no change."""
     if len(path) < 3 or rng.random() >= mutation_rate:
-        return list(path)
+        return path
     k = rng.randrange(1, len(path) - 1)
     removed = path[k]
     forbidden = (set(path) | set(ctx.gateways)) - {path[k - 1], path[k + 1]}
     detour = ctx.topo.shortest_path(path[k - 1], path[k + 1], avoid=forbidden)
     if detour is None:
-        return list(path)
+        return path
     candidate = path[:k - 1] + detour + path[k + 2:]
     if removed in candidate or not validate_path(ctx.topo, candidate):
-        return list(path)
+        return path
     return candidate
 
 
@@ -379,9 +364,7 @@ def dedupe(swarm: list[Particle], ctx: RouteContext,
                 if tuple(fresh) not in seen:
                     break
                 fresh = random_walk_path(ctx, rng)
-            fit = ctx.fitness(fresh)
-            out.append(Particle(path=fresh, fitness=fit,
-                                pbest_path=list(fresh), pbest_fitness=fit))
+            out.append(_fresh(fresh, ctx))
             seen.add(tuple(fresh))
         else:
             seen.add(key)
@@ -418,11 +401,19 @@ def _tournament(pool: list[Particle], rng: random.Random) -> Particle:
     return a if a.fitness.total <= b.fitness.total else b
 
 
+def _fresh(path: list[int], ctx: RouteContext) -> Particle:
+    # A new particle is its own personal best.
+    fit = ctx.fitness(path)
+    return Particle(path, fit, path, fit)
+
+
 def _child(path: list[int], parent: Particle, ctx: RouteContext) -> Particle:
-    # Personal-best lists are replaced, never mutated, so children share them.
-    return Particle(path=path, fitness=ctx.fitness(path),
-                    pbest_path=parent.pbest_path,
-                    pbest_fitness=parent.pbest_fitness)
+    # The child's personal best is its own route when that scores strictly
+    # below the parent's personal best, and the parent's otherwise.
+    fit = ctx.fitness(path)
+    if fit.total < parent.pbest_fitness.total:
+        return Particle(path, fit, path, fit)
+    return Particle(path, fit, parent.pbest_path, parent.pbest_fitness)
 
 
 def _ga_offspring(parents: list[Particle], ctx: RouteContext,
@@ -456,12 +447,13 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
         coeffs: PenaltyCoeffs, config: HybridConfig) -> RunResult:
     """Solve for a QoS-satisfying min-fitness route to any gateway.
 
-    One iteration: evaluate, refresh personal/global bests, split off the
-    elite, apply the PSO merge to one share of the rest and crossover plus
-    mutation to the other (the `algorithm` field collapses this to a pure
-    PSO or pure GA update), then discard duplicate routes.  Stops at the
-    iteration cap or after `stagnation_window` iterations without
-    improvement.  Deterministic for a fixed seed, wall time aside.
+    One iteration: refresh the global best, split off the elite, apply the
+    PSO merge to one share of the rest and crossover plus mutation to the
+    other (the `algorithm` field collapses this to a pure PSO or pure GA
+    update), then discard duplicate routes.  Each particle settles its
+    personal best when it is made.  Stops at the iteration cap or after
+    `stagnation_window` iterations without improvement.  Deterministic for
+    a fixed seed, wall time aside.
     """
     ctx = RouteContext(topo, source, req, coeffs)
     rng = random.Random(config.rng_seed)
@@ -484,16 +476,10 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
 
     for t in range(1, config.max_iterations + 1):
         iterations = t
-        # Every particle here was built with its fitness and personal best.
-        for p in swarm:
-            if p.fitness.total < p.pbest_fitness.total:
-                p.pbest_fitness = p.fitness
-                p.pbest_path = list(p.path)
         best_now = min(swarm, key=lambda p: (p.fitness.total, p.path))
         if gbest is None or best_now.fitness.total < gbest.fitness.total - 1e-12:
-            gbest = Particle(path=list(best_now.path), fitness=best_now.fitness,
-                             pbest_path=list(best_now.path),
-                             pbest_fitness=best_now.fitness)
+            gbest = Particle(best_now.path, best_now.fitness,
+                             best_now.path, best_now.fitness)
             last_improve = t
             time_to_best = (time.perf_counter() - t0) * 1000.0
         trace.append(gbest.fitness.total)
@@ -504,9 +490,7 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
             break
 
         elite, pso_set, ga_set = elitism_split(swarm, split_config, rng, gbest)
-        next_gen = [Particle(path=list(e.path), fitness=e.fitness,
-                             pbest_path=list(e.pbest_path),
-                             pbest_fitness=e.pbest_fitness) for e in elite]
+        next_gen = list(elite)
         for p in pso_set:
             new_path = oplus_update(p, gbest.path, ctx, config, rng)
             next_gen.append(_child(new_path, p, ctx))

@@ -9,8 +9,8 @@ its neighboring links.
 
 The graph is held in plain per-node tuples built once at construction, and
 shortest paths come from one heapq Dijkstra over dense distance/predecessor
-lists, cached per source as compact arrays; numpy (used by the generator) is
-the only third-party dependency.
+lists, cached as compact arrays per source and for all gateways together;
+numpy (used by the generator) is the only third-party dependency.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class MeshTopology:
     Construction checks that node ids are dense from 0, that every link joins
     two known nodes and appears once, and that the gateway set is a
     non-empty set of nodes.  It does not check connectivity: see
-    is_connected().  The instance is then safe to share across threads.
+    gateway_costs().  The instance is then safe to share across threads.
     """
 
     def __init__(self, nodes: list[Node], links: list[Link],
@@ -164,7 +164,7 @@ class MeshTopology:
             raise TopologyError("node ids must be dense from 0")
         self._links: dict[tuple[int, int], Link] = {}
         for link in links:
-            if link.u >= len(self.nodes) or link.v >= len(self.nodes):
+            if not (self.has_node(link.u) and self.has_node(link.v)):
                 raise TopologyError(f"link {link.u}-{link.v} references unknown node")
             if link.key in self._links:
                 raise TopologyError(f"duplicate link {link.key}")
@@ -214,9 +214,6 @@ class MeshTopology:
     @cached_property
     def max_link_cost(self) -> float:
         return max((l.cost for l in self._links.values()), default=0.0)
-
-    def is_connected(self) -> bool:
-        return UNREACHABLE not in self._source_dijkstra(0)[0]
 
     # -- shortest paths ----------------------------------------------------
 
@@ -271,13 +268,31 @@ class MeshTopology:
                                                    array("l", pred))
         return tree
 
-    def costs_from(self, sources: Iterable[int]) -> list[float]:
-        """Per node, the least link-cost sum from its nearest source
-        (UNREACHABLE when no source reaches it); one uncached Dijkstra."""
-        sources = list(sources)
-        if not all(self.has_node(s) for s in sources):
+    @cached_property
+    def _gateway_tree(self) -> tuple[array, array]:
+        # One Dijkstra from all gateways at once; links are undirected, so
+        # each node's predecessors lead back to its nearest gateway.
+        dist, pred = self._dijkstra(sorted(self.gateways))
+        return array("d", dist), array("l", pred)
+
+    def gateway_costs(self) -> Sequence[float]:
+        """Per node, the least link-cost sum to its nearest gateway, or
+        UNREACHABLE; the cached row itself: read it, never modify it."""
+        return self._gateway_tree[0]
+
+    def gateway_path(self, node: int) -> list[int] | None:
+        """A least-cost path from ``node`` to its nearest gateway, or None.
+        Equal-cost ties break as in one Dijkstra from the gateways in
+        ascending id order."""
+        if not self.has_node(node):
             raise TopologyError("unknown node id")
-        return self._dijkstra(sources)[0]
+        dist, pred = self._gateway_tree
+        if dist[node] == UNREACHABLE:
+            return None
+        path = [node]
+        while pred[path[-1]] != -1:
+            path.append(pred[path[-1]])
+        return path
 
     def shortest_path_cost(self, source: int, target: int) -> float:
         """Minimal sum of link costs, or the UNREACHABLE marker (inf)."""

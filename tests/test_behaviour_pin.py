@@ -64,7 +64,7 @@ def test_behaviour_hash_unchanged():
     assert digest.hexdigest() == BEHAVIOUR_SHA256
 
 
-def tie_mesh():
+def tie_mesh(gateways=frozenset({8})):
     """3x3 grid, every link at conftest's default cost 2.0, links inserted
     out of order, so most node pairs have several shortest paths.
 
@@ -76,7 +76,7 @@ def tie_mesh():
     """
     order = [(4, 5), (0, 3), (7, 8), (1, 4), (3, 4), (0, 1), (2, 5),
              (4, 7), (5, 8), (1, 2), (6, 7), (3, 6)]
-    return make_topo(9, {edge: {} for edge in order}, gateways={8})
+    return make_topo(9, {edge: {} for edge in order}, gateways=gateways)
 
 
 def all_shortest_paths(topo):
@@ -120,6 +120,21 @@ def test_equal_cost_ties_match_recorded_paths():
 def test_equal_cost_ties_after_round_trip():
     topo = MeshTopology.from_json(tie_mesh().to_json())
     assert all_shortest_paths(topo) == TIE_PATHS_ROUND_TRIP
+
+
+# gateway_path(n) for n = 0..8 on tie_mesh() with gateways 2 and 6.  Nodes
+# 0, 4 and 8 are as near to one as to the other.
+TIE_GATEWAY_PATHS = "012 12 2 36 452 52 6 76 852"
+
+
+def test_equal_cost_gateway_paths_follow_the_gateway_tree():
+    # One gateway: the tree is that gateway's own Dijkstra, walked back.
+    topo = tie_mesh()
+    assert [topo.gateway_path(n) for n in range(9)] == [
+        topo.shortest_path(8, n)[::-1] for n in range(9)]
+    two = tie_mesh(gateways={2, 6})
+    assert " ".join("".join(map(str, two.gateway_path(n)))
+                    for n in range(9)) == TIE_GATEWAY_PATHS
 
 
 # A small sweep, written by `run_bench` serially and with two workers.

@@ -117,6 +117,15 @@ class TestRoute:
         assert main(["route", "/nonexistent/topo.json"]) == 1
         assert "cannot load" in capsys.readouterr().err
 
+    def test_negative_link_endpoint_errors(self, tmp_path, capsys):
+        # Node -1 must not index its way to node 2.
+        doc = make_topo(3, {(0, 1): {}, (1, 2): {}}, gateways={2}).to_dict()
+        doc["links"][1].update(u=-1, v=1)
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc))
+        assert main(["route", str(path), "--source", "0"]) == 1
+        assert "error: cannot load" in capsys.readouterr().err
+
 
 class TestBench:
     PLAN = dict(node_sizes=[12], algorithms=["hybrid"], seeds_per_cell=2,

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,8 +105,9 @@ class TestCombine:
 
     def test_zero_coefficients_leave_path_alone(self, demo_ctx):
         config = HybridConfig(c1=0.0, c2=0.0, rng_seed=1)
-        particle = Particle(path=[1, 2, 4, 9, 13],
-                            pbest_path=[1, 7, 5, 10, 13])
+        path, pbest = [1, 2, 4, 9, 13], [1, 7, 5, 10, 13]
+        particle = Particle(path, demo_ctx.fitness(path),
+                            pbest, demo_ctx.fitness(pbest))
         out = oplus_update(particle, [1, 7, 5, 10, 13], demo_ctx, config,
                            random.Random(0))
         assert out == [1, 2, 4, 9, 13]
@@ -118,12 +120,33 @@ class TestCombine:
     def test_update_output_always_valid(self, demo_ctx):
         rng = random.Random(3)
         config = HybridConfig(rng_seed=3)
-        particle = Particle(path=[1, 2, 4, 9, 13],
-                            pbest_path=[1, 7, 5, 10, 13])
+        path, pbest = [1, 2, 4, 9, 13], [1, 7, 5, 10, 13]
+        particle = Particle(path, demo_ctx.fitness(path),
+                            pbest, demo_ctx.fitness(pbest))
         for _ in range(50):
             out = oplus_update(particle, [1, 7, 5, 9, 13], demo_ctx,
                                config, rng)
             assert validate_path(demo_ctx.topo, out)
+
+
+class TestParticle:
+    def test_child_settles_personal_best_at_birth(self, demo_ctx):
+        best, middle, worst = ([1, 7, 5, 9, 13], [1, 7, 5, 10, 13],
+                               [1, 2, 4, 9, 13])
+        parent = Particle(worst, demo_ctx.fitness(worst),
+                          middle, demo_ctx.fitness(middle))
+        # F is 10 below the parent's personal best of 11: the child's own.
+        improved = routing._child(best, parent, demo_ctx)
+        assert improved.pbest_path is best
+        assert improved.pbest_fitness is improved.fitness
+        # F of 19, or a tie at 11: the parent's personal best, shared.
+        for path in (worst, list(middle)):
+            child = routing._child(path, parent, demo_ctx)
+            assert child.path is path
+            assert child.pbest_path is parent.pbest_path
+            assert child.pbest_fitness is parent.pbest_fitness
+        with pytest.raises(FrozenInstanceError):
+            improved.pbest_path = middle
 
 
 class TestCrossover:
@@ -377,6 +400,26 @@ def small_meshes(draw):
     return topo, source
 
 
+@st.composite
+def tie_grids(draw):
+    """A 2-4 x 2-4 grid with link costs in {1, 2}, links inserted in a
+    drawn order, some gateways and a non-gateway source: many routes tie."""
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    n = rows * cols
+    edges = ([(i, i + 1) for i in range(n) if (i + 1) % cols] +
+             [(i, i + cols) for i in range(n - cols)])
+    edges = draw(st.permutations(edges))
+    costs = draw(st.lists(st.sampled_from([1.0, 2.0]),
+                          min_size=len(edges), max_size=len(edges)))
+    gateways = draw(st.sets(st.integers(0, n - 1), min_size=1,
+                            max_size=n - 1))
+    topo = make_topo(n, {e: {"cost": c} for e, c in zip(edges, costs)},
+                     gateways)
+    source = draw(st.sampled_from(
+        [v for v in range(n) if v not in gateways]))
+    return topo, source
+
+
 class TestProperties:
     BENCH_REQ = QosRequest(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.0)
 
@@ -396,8 +439,9 @@ class TestProperties:
             assert all(a >= b for a, b in zip(trace, trace[1:]))
             assert res.best_fitness.total >= oracle.total
 
-    @settings(max_examples=60, deadline=None)
-    @given(mesh=small_meshes(), from_source=st.booleans(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    @given(mesh=st.one_of(small_meshes(), tie_grids()),
+           from_source=st.booleans(), data=st.data())
     def test_repair_returns_valid_route_or_none(self, mesh, from_source,
                                                 data):
         topo, source = mesh

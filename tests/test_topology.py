@@ -61,7 +61,7 @@ class TestGeneration:
         assert math.dist((a.x, a.y), (b.x, b.y)) > 250.0
         assert len(topo.links) == 1
         assert topo.links[0].synthetic
-        assert topo.is_connected()
+        assert UNREACHABLE not in topo.gateway_costs()
 
     def test_deterministic_per_seed(self):
         params = TopologyParams(node_count=25, rng_seed=42)
@@ -83,7 +83,7 @@ class TestGeneration:
     def test_generated_graph_connected_with_gateways(self):
         for seed in range(5):
             topo = generate_topology(TopologyParams(node_count=40, rng_seed=seed))
-            assert topo.is_connected()
+            assert UNREACHABLE not in topo.gateway_costs()
             assert len(topo.gateways) == 3
             assert all(0.0 <= l.i_factor <= 1.0 for l in topo.links)
             assert all(1 <= l.channel <= 11 for l in topo.links)
@@ -163,20 +163,41 @@ class TestShortestPath:
 class TestMultiSourceCosts:
     def test_nearest_source_cost(self):
         topo = generate_topology(TopologyParams(node_count=40, rng_seed=3))
-        sources = [2, 17, 31]
-        costs = topo.costs_from(sources)
+        costs = topo.gateway_costs()
         for n in range(topo.node_count):
             assert costs[n] == pytest.approx(
-                min(topo.shortest_path_cost(s, n) for s in sources), abs=1e-9)
-        assert all(costs[s] == 0.0 for s in sources)
+                min(topo.shortest_path_cost(g, n) for g in topo.gateways),
+                abs=1e-9)
+            path = topo.gateway_path(n)
+            assert path[0] == n and validate_path(topo, path)
+            assert sum(topo.link(u, v).cost for u, v in zip(path, path[1:])) \
+                == pytest.approx(costs[n], abs=1e-9)
+        assert all(costs[g] == 0.0 and topo.gateway_path(g) == [g]
+                   for g in topo.gateways)
 
     def test_unreachable_marker(self):
         topo = make_topo(3, {(0, 1): {}}, gateways={1})
-        assert topo.costs_from([1]) == [2.0, 0.0, UNREACHABLE]
+        assert list(topo.gateway_costs()) == [2.0, 0.0, UNREACHABLE]
+        assert topo.gateway_path(0) == [0, 1]
+        assert topo.gateway_path(2) is None
 
     def test_unknown_source_rejected(self, line3):
-        with pytest.raises(TopologyError):
-            line3.costs_from([0, 7])
+        for node in (-1, 3, 7):
+            with pytest.raises(TopologyError):
+                line3.gateway_path(node)
+
+    @pytest.mark.parametrize("size", [25, 125, 200])
+    def test_gateway_path_matches_nearest_lowest_id_gateway(self, size):
+        # The rule the solver used before the gateway tree: the least-cost
+        # path from the node to the lowest-id gateway among the nearest.
+        # Generated link costs are random floats, so no two routes tie.
+        for seed, count in itertools.product(range(3), (1, 3, 5)):
+            topo = generate_topology(TopologyParams(
+                node_count=size, rng_seed=seed, gateway_count=count))
+            for n in range(topo.node_count):
+                nearest = min(sorted(topo.gateways),
+                              key=lambda g: topo.shortest_path_cost(n, g))
+                assert topo.gateway_path(n) == topo.shortest_path(n, nearest)
 
     def test_default_source_ranks_by_cost_to_nearest_gateway(self):
         # The ranking one Dijkstra per node would give.
@@ -214,8 +235,10 @@ class TestAdjacency:
             assert topo.adjacent(u, v) == (v in topo.neighbors(u))
 
     def test_connectivity(self):
-        assert make_topo(3, {(0, 1): {}, (1, 2): {}}, gateways={2}).is_connected()
-        assert not make_topo(3, {(0, 1): {}}, gateways={1}).is_connected()
+        assert UNREACHABLE not in make_topo(3, {(0, 1): {}, (1, 2): {}},
+                                            gateways={2}).gateway_costs()
+        assert UNREACHABLE in make_topo(3, {(0, 1): {}},
+                                        gateways={1}).gateway_costs()
 
 
 class TestLinkValidation:
@@ -236,7 +259,8 @@ class TestLinkValidation:
             Link(0, 1, **{**LINK_DEFAULTS, "channel": channel})
 
     @pytest.mark.parametrize("field, value", [("channel", 99), ("cost", math.nan),
-                                              ("delay", math.inf)])
+                                              ("delay", math.inf), ("u", -1),
+                                              ("v", -1)])
     def test_rejected_when_loaded(self, field, value):
         doc = generate_topology(TopologyParams(node_count=10,
                                                rng_seed=1)).to_dict()
