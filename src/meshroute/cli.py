@@ -114,6 +114,8 @@ def default_source(topo: MeshTopology, percentile: float = 0.25) -> int:
     difficulty of the routing problem scales with network size instead of
     depending on which node happened to be labelled first.
     """
+    if not 0.0 <= percentile < 1.0:
+        raise ValueError("percentile outside [0, 1)")
     cost = topo.gateway_costs()
     ranked = sorted((cost[n], n) for n in range(topo.node_count)
                     if n not in topo.gateways and cost[n] != math.inf)

@@ -9,7 +9,7 @@ feasible routes is exactly minimizing cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .topology import MeshTopology, validate_path, enumerate_simple_paths
 
@@ -105,14 +105,7 @@ class FitnessBreakdown:
     valid: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "penalty": self.penalty,
-            "total": self.total,
-            "terms": dict(self.terms),
-            "feasible": self.feasible,
-            "valid": self.valid,
-        }
+        return asdict(self)
 
 
 def path_metrics(topo: MeshTopology, path: list[int]) -> PathMetrics:

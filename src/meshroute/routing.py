@@ -15,7 +15,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from .qos import FitnessBreakdown, PenaltyCoeffs, QosRequest, fitness
 from .topology import MeshTopology, validate_path
@@ -23,6 +23,10 @@ from .topology import MeshTopology, validate_path
 
 # Random walk attempts before falling back to the min-cost gateway path.
 WALK_RESTARTS = 50
+
+# Share of the ranked swarm carried over unchanged.  ceil(0.1 * N) >= 1 for
+# every swarm_size >= 2, so the incumbent always survives its generation.
+ELITE_FRACTION = 0.1
 
 
 class UnreachableGatewayError(ValueError):
@@ -38,7 +42,6 @@ class HybridConfig:
     breed_ratio: float = 0.5
     mutation_rate: float = 0.05
     stagnation_window: int = 15
-    elite_fraction: float = 0.1
     rng_seed: int = 0
     algorithm: str = "hybrid"
 
@@ -53,8 +56,6 @@ class HybridConfig:
             raise ValueError("breed_ratio outside [0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate outside [0, 1]")
-        if not 0.0 <= self.elite_fraction <= 1.0:
-            raise ValueError("elite_fraction outside [0, 1]")
         if self.stagnation_window < 1:
             raise ValueError("stagnation_window must be >= 1")
         if self.algorithm not in ("pso", "ga", "hybrid"):
@@ -86,19 +87,7 @@ class RunResult:
     iteration_times_ms: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "best_path": list(self.best_path),
-            "best_fitness": self.best_fitness.to_dict(),
-            "fitness_trace": list(self.fitness_trace),
-            "incumbent_paths": [list(p) for p in self.incumbent_paths],
-            "iterations_executed": self.iterations_executed,
-            "iterations_to_best": self.iterations_to_best,
-            "wall_time_ms": self.wall_time_ms,
-            "time_to_best_ms": self.time_to_best_ms,
-            "seed": self.seed,
-            "algorithm": self.algorithm,
-            "iteration_times_ms": list(self.iteration_times_ms),
-        }
+        return asdict(self)
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -218,17 +207,18 @@ def _truncate_at_gateway(seq: list[int], gateways: frozenset[int]) -> list[int]:
 def random_walk_path(ctx: RouteContext, rng: random.Random) -> list[int]:
     """Loop-free random walk from the source to any gateway.
 
-    Restarts after dead ends or a node-count hop cap; falls back to the
-    min-cost path to the nearest gateway after WALK_RESTARTS attempts.
+    Restarts after a dead end (a walk never revisits a node, so it ends at
+    a gateway or a dead end); falls back to the min-cost path to the
+    nearest gateway after WALK_RESTARTS attempts.
     """
     source, gateways = ctx.source, ctx.gateways
-    neighbors, max_nodes = ctx.topo.neighbors, ctx.topo.node_count
+    neighbors = ctx.topo.neighbors
     choice = rng.choice
     for _ in range(WALK_RESTARTS):
         path = [source]
         visited = {source}
         node = source
-        while len(path) <= max_nodes:
+        while True:
             options = [v for v in neighbors(node) if v not in visited]
             if not options:
                 break
@@ -339,13 +329,12 @@ def mutate(path: list[int], ctx: RouteContext, rng: random.Random,
     if len(path) < 3 or rng.random() >= mutation_rate:
         return path
     k = rng.randrange(1, len(path) - 1)
-    removed = path[k]
     forbidden = (set(path) | set(ctx.gateways)) - {path[k - 1], path[k + 1]}
     detour = ctx.topo.shortest_path(path[k - 1], path[k + 1], avoid=forbidden)
     if detour is None:
         return path
     candidate = path[:k - 1] + detour + path[k + 2:]
-    if removed in candidate or not validate_path(ctx.topo, candidate):
+    if not validate_path(ctx.topo, candidate):
         return path
     return candidate
 
@@ -372,25 +361,19 @@ def dedupe(swarm: list[Particle], ctx: RouteContext,
     return out
 
 
-def elitism_split(swarm: list[Particle], config: HybridConfig,
+def elitism_split(ranked: list[Particle], breed_ratio: float,
                   rng: random.Random,
-                  gbest: Particle | None = None,
                   ) -> tuple[list[Particle], list[Particle], list[Particle]]:
-    """Partition the swarm into (elite, pso_set, ga_set).
+    """Partition a ranked swarm, best first, into (elite, pso_set, ga_set).
 
-    The elite are the top ceil(elite_fraction * N) by fitness, carried over
-    unchanged (with the incumbent global best forced in); of the rest,
-    Z = round(count * breed_ratio) particles chosen uniformly at random take
-    the PSO update, the remainder go to crossover.
+    The elite are the first ceil(ELITE_FRACTION * N), carried over
+    unchanged; of the rest, Z = round(count * breed_ratio) particles chosen
+    uniformly at random take the PSO update, the remainder go to crossover.
     """
-    n_elite = math.ceil(config.elite_fraction * len(swarm))
-    ranked = sorted(swarm, key=lambda p: (p.fitness.total, p.path))
+    n_elite = math.ceil(ELITE_FRACTION * len(ranked))
     elite = ranked[:n_elite]
     rest = ranked[n_elite:]
-    if gbest is not None and all(e.path != gbest.path for e in elite) and elite:
-        elite = elite[:-1] + [gbest]
-    z = round(len(rest) * config.breed_ratio)
-    pso_set = rng.sample(rest, z)
+    pso_set = rng.sample(rest, round(len(rest) * breed_ratio))
     pso_ids = {id(p) for p in pso_set}
     ga_set = [p for p in rest if id(p) not in pso_ids]
     return elite, pso_set, ga_set
@@ -447,68 +430,62 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
         coeffs: PenaltyCoeffs, config: HybridConfig) -> RunResult:
     """Solve for a QoS-satisfying min-fitness route to any gateway.
 
-    One iteration: refresh the global best, split off the elite, apply the
-    PSO merge to one share of the rest and crossover plus mutation to the
-    other (the `algorithm` field collapses this to a pure PSO or pure GA
-    update), then discard duplicate routes.  Each particle settles its
-    personal best when it is made.  Stops at the iteration cap or after
-    `stagnation_window` iterations without improvement.  Deterministic for
-    a fixed seed, wall time aside.
+    One iteration: rank the swarm by (F, route), take its head as the
+    incumbent, split off the elite, apply the PSO merge to one share of the
+    rest and crossover plus mutation to the other (the `algorithm` field
+    collapses this to a pure PSO or pure GA update), then discard duplicate
+    routes.  The previous head is an elite and enters dedupe first, so the
+    incumbent never gets worse, and exact-F ties go to the lower route, as
+    in `oracle_best`.  Each particle settles its personal best when it is
+    made.  Stops at the iteration cap or after `stagnation_window`
+    iterations without a strictly lower F.  Deterministic for a fixed seed,
+    wall time aside.
     """
     ctx = RouteContext(topo, source, req, coeffs)
     rng = random.Random(config.rng_seed)
     # Pure PSO sends every non-elite particle to the merge, pure GA every
     # one to crossover.
-    split_config = config
-    if config.algorithm != "hybrid":
-        split_config = replace(
-            config, breed_ratio=1.0 if config.algorithm == "pso" else 0.0)
+    breed_ratio = {"pso": 1.0, "ga": 0.0}.get(config.algorithm,
+                                              config.breed_ratio)
     t0 = time.perf_counter()
     swarm = init_swarm(ctx, config, rng)
 
-    gbest: Particle | None = None
     trace: list[float] = []
     incumbents: list[list[int]] = []
     iter_times: list[float] = []
     last_improve = 1
-    time_to_best = 0.0
-    iterations = 0
 
     for t in range(1, config.max_iterations + 1):
-        iterations = t
-        best_now = min(swarm, key=lambda p: (p.fitness.total, p.path))
-        if gbest is None or best_now.fitness.total < gbest.fitness.total - 1e-12:
-            gbest = Particle(best_now.path, best_now.fitness,
-                             best_now.path, best_now.fitness)
+        ranked = sorted(swarm, key=lambda p: (p.fitness.total, p.path))
+        best = ranked[0]
+        if trace and best.fitness.total < trace[-1]:
             last_improve = t
-            time_to_best = (time.perf_counter() - t0) * 1000.0
-        trace.append(gbest.fitness.total)
-        incumbents.append(list(gbest.path))
+        trace.append(best.fitness.total)
+        incumbents.append(list(best.path))
         iter_times.append((time.perf_counter() - t0) * 1000.0)
 
         if t == config.max_iterations or t - last_improve >= config.stagnation_window:
             break
 
-        elite, pso_set, ga_set = elitism_split(swarm, split_config, rng, gbest)
+        elite, pso_set, ga_set = elitism_split(ranked, breed_ratio, rng)
         next_gen = list(elite)
         for p in pso_set:
-            new_path = oplus_update(p, gbest.path, ctx, config, rng)
+            new_path = oplus_update(p, best.path, ctx, config, rng)
             next_gen.append(_child(new_path, p, ctx))
         if ga_set:
             next_gen.extend(_ga_offspring(ga_set, ctx, config, rng,
                                           tournament=(config.algorithm == "ga")))
         swarm = dedupe(next_gen, ctx, rng)
 
-    wall = (time.perf_counter() - t0) * 1000.0
     return RunResult(
-        best_path=list(gbest.path),
-        best_fitness=gbest.fitness,
+        best_path=list(best.path),
+        best_fitness=best.fitness,
         fitness_trace=trace,
         incumbent_paths=incumbents,
-        iterations_executed=iterations,
+        iterations_executed=len(trace),
         iterations_to_best=last_improve,
-        wall_time_ms=wall,
-        time_to_best_ms=time_to_best,
+        wall_time_ms=iter_times[-1],
+        time_to_best_ms=iter_times[last_improve - 1],
         seed=config.rng_seed,
         algorithm=config.algorithm,
         iteration_times_ms=iter_times,

@@ -151,14 +151,20 @@ class TopologyParams:
 class MeshTopology:
     """Immutable weighted mesh graph with gateways.
 
-    Construction checks that node ids are dense from 0, that every link joins
-    two known nodes and appears once, and that the gateway set is a
-    non-empty set of nodes.  It does not check connectivity: see
-    gateway_costs().  The instance is then safe to share across threads.
+    Construction checks that node ids, link endpoints and gateways are
+    plain ints (True == 1 would pass every other check), that node ids are
+    dense from 0, that every link joins two known nodes and appears once,
+    and that the gateway set is a non-empty set of nodes.  It does not
+    check connectivity: see gateway_costs().  The instance is then safe to
+    share across threads.
     """
 
     def __init__(self, nodes: list[Node], links: list[Link],
                  gateways: set[int], transmission_range: float):
+        ids = [n.id for n in nodes] + [e for l in links for e in (l.u, l.v)]
+        if not all(type(x) is int for x in ids + list(gateways)):
+            raise TopologyError(
+                "node ids, link endpoints and gateways must be integers")
         self.nodes: tuple[Node, ...] = tuple(sorted(nodes, key=lambda n: n.id))
         if [n.id for n in self.nodes] != list(range(len(self.nodes))):
             raise TopologyError("node ids must be dense from 0")

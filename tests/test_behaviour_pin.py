@@ -21,6 +21,7 @@ from meshroute import (
     QosRequest,
     TopologyParams,
     generate_topology,
+    oracle_best,
     run,
 )
 from meshroute.cli import ExperimentPlan, default_source, run_bench
@@ -135,6 +136,20 @@ def test_equal_cost_gateway_paths_follow_the_gateway_tree():
     two = tie_mesh(gateways={2, 6})
     assert " ".join("".join(map(str, two.gateway_path(n)))
                     for n in range(9)) == TIE_GATEWAY_PATHS
+
+
+@pytest.mark.parametrize("alg", ALGS)
+def test_solver_breaks_exact_fitness_ties_like_the_oracle(alg):
+    # Routes 3-4-5-8 and 3-4-7-8 both cost 6.0; the incumbent is the head
+    # of the swarm ranked by (F, route), as oracle_best ranks.  Reaching
+    # the lower route at equal F is no improvement.
+    topo = tie_mesh()
+    coeffs = PenaltyCoeffs.for_request(REQ, topo)
+    oracle_path, oracle_fit = oracle_best(topo, 3, REQ, coeffs)
+    result = run(topo, 3, REQ, coeffs, HybridConfig(rng_seed=11, algorithm=alg))
+    assert oracle_path == result.best_path == [3, 4, 5, 8]
+    assert oracle_fit.total == result.best_fitness.total == 6.0
+    assert result.iterations_to_best == 1
 
 
 # A small sweep, written by `run_bench` serially and with two workers.

@@ -126,6 +126,17 @@ class TestRoute:
         assert main(["route", str(path), "--source", "0"]) == 1
         assert "error: cannot load" in capsys.readouterr().err
 
+    def test_bool_node_id_errors(self, tmp_path, capsys):
+        # True == 1, so node {"id": true} used to load as node 1 and the
+        # route came out as 0-True-2 with fitness inf.
+        doc = make_topo(3, {(0, 1): {}, (1, 2): {}}, gateways={2}).to_dict()
+        doc["nodes"][1]["id"] = True
+        doc["links"][0]["v"] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert main(["route", str(path), "--source", "0"]) == 1
+        assert "error: cannot load" in capsys.readouterr().err
+
 
 class TestBench:
     PLAN = dict(node_sizes=[12], algorithms=["hybrid"], seeds_per_cell=2,

@@ -55,8 +55,6 @@ def demo_ctx():
 
 class TestHybridConfig:
     @pytest.mark.parametrize("bad", [
-        dict(elite_fraction=-0.1),
-        dict(elite_fraction=1.5),
         dict(stagnation_window=0),
         dict(stagnation_window=-3),
     ])
@@ -266,12 +264,10 @@ class TestSwarmMachinery:
         ctx = ctx_for(topo, source_for(topo))
         rng = random.Random(0)
         swarm = self._evaluated_swarm(30, ctx, rng)
-        config = HybridConfig(swarm_size=30, breed_ratio=0.5,
-                              elite_fraction=1 / 3)
-        elite, pso_set, ga_set = elitism_split(swarm, config, rng)
-        assert len(elite) == 10
-        assert len(pso_set) == 10  # (30 - 10) * 0.5
-        assert len(ga_set) == 10
+        elite, pso_set, ga_set = elitism_split(swarm, 0.5, rng)
+        assert len(elite) == 3
+        assert len(pso_set) == 14  # round((30 - 3) * 0.5), half to even
+        assert len(ga_set) == 13
 
     @pytest.mark.parametrize("ratio,pso_n,ga_n", [(0.0, 0, 27), (1.0, 27, 0)])
     def test_split_boundaries(self, ratio, pso_n, ga_n):
@@ -279,8 +275,7 @@ class TestSwarmMachinery:
         ctx = ctx_for(topo, source_for(topo))
         rng = random.Random(0)
         swarm = self._evaluated_swarm(30, ctx, rng)
-        config = HybridConfig(swarm_size=30, breed_ratio=ratio)
-        elite, pso_set, ga_set = elitism_split(swarm, config, rng)
+        elite, pso_set, ga_set = elitism_split(swarm, ratio, rng)
         assert len(elite) == 3
         assert (len(pso_set), len(ga_set)) == (pso_n, ga_n)
 
@@ -339,6 +334,21 @@ class TestRun:
         assert all(a >= b for a, b in zip(trace, trace[1:]))
         assert trace[-1] == res.best_fitness.total
         assert len(trace) == res.iterations_executed
+
+    @pytest.mark.parametrize("algorithm", ["pso", "ga", "hybrid"])
+    def test_timing_fields_read_the_iteration_clock(self, algorithm):
+        topo = generate_topology(TopologyParams(node_count=30, rng_seed=6))
+        coeffs = PenaltyCoeffs.for_request(REQ, topo)
+        res = run(topo, source_for(topo), REQ, coeffs,
+                  HybridConfig(rng_seed=2, algorithm=algorithm))
+        times = res.iteration_times_ms
+        assert len(times) == res.iterations_executed
+        assert res.time_to_best_ms == times[res.iterations_to_best - 1]
+        assert res.wall_time_ms == times[-1]
+        # iterations_to_best is the first iteration at the final F.
+        trace = res.fitness_trace
+        assert trace[res.iterations_to_best - 1] == trace[-1]
+        assert all(f > trace[-1] for f in trace[:res.iterations_to_best - 1])
 
     def test_matches_oracle_on_small_graph(self):
         topo = generate_topology(TopologyParams(node_count=12, rng_seed=21))

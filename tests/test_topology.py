@@ -212,6 +212,14 @@ class TestMultiSourceCosts:
                 assert default_source(topo, p) == \
                     ranked[int(len(ranked) * p)][1]
 
+    @pytest.mark.parametrize("percentile", [-0.1, 1.0, 1.5, math.nan])
+    def test_default_source_percentile_outside_unit_interval_rejected(
+            self, percentile):
+        # -0.1 used to index from the end of the ranking, 1.0 past it.
+        topo = generate_topology(TopologyParams(node_count=50, rng_seed=0))
+        with pytest.raises(ValueError, match="percentile"):
+            default_source(topo, percentile)
+
     def test_default_source_ranks_only_nodes_that_reach_a_gateway(self):
         # Nodes 3 and 4 have no route to gateway 2.
         topo = make_topo(5, {(0, 1): {}, (1, 2): {}, (3, 4): {}},
@@ -260,11 +268,17 @@ class TestLinkValidation:
 
     @pytest.mark.parametrize("field, value", [("channel", 99), ("cost", math.nan),
                                               ("delay", math.inf), ("u", -1),
-                                              ("v", -1)])
+                                              ("v", -1), ("v", True),
+                                              ("id", True),
+                                              ("gateways", [True, 2])])
     def test_rejected_when_loaded(self, field, value):
+        # Link fields edit the first link; "id" edits node 1.  True == 1,
+        # so a bool passes every range check unless it is rejected as such.
         doc = generate_topology(TopologyParams(node_count=10,
                                                rng_seed=1)).to_dict()
-        doc["links"][0][field] = value
+        target = {"id": doc["nodes"][1], "gateways": doc}.get(
+            field, doc["links"][0])
+        target[field] = value
         with pytest.raises(TopologyError):
             MeshTopology.from_json(json.dumps(doc))
 
