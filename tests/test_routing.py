@@ -55,6 +55,8 @@ def demo_ctx():
 
 class TestHybridConfig:
     @pytest.mark.parametrize("bad", [
+        dict(breed_ratio=-0.1),
+        dict(breed_ratio=1.5),
         dict(stagnation_window=0),
         dict(stagnation_window=-3),
     ])
