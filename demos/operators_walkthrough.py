@@ -59,7 +59,8 @@ def main() -> None:
     print(f"crossover windows [3:4) and [3:7):")
     print(f"  parent 1 {p1}\n  parent 2 {p2}")
     print(f"  child 1  {c1}\n  child 2  {c2}")
-    print("  (raw children; in the solver a repair pass then re-validates)\n")
+    print("  (raw children; in the solver a repair pass stitches them into "
+          "routes)\n")
 
     broken = [1, 7, 9, 13]          # 7-9 is not a link in this mesh
     print(f"repair {broken} -> {repair_path(broken, ctx)}")

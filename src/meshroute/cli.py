@@ -260,7 +260,7 @@ def cmd_route(args) -> int:
     result = run(topo, source, req, coeffs, config)
 
     if args.json:
-        print(result.to_json(indent=2))
+        print(json.dumps(result.to_dict(), indent=2))
         return 0
     print(f"best path: {'-'.join(map(str, result.best_path))}")
     fb = result.best_fitness

@@ -10,9 +10,18 @@ parents' midpoint, shifted backwards along a parent velocity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .routing import ELITE_FRACTION
+
+# The generation structure is fixed, as in the route solver, whose
+# ELITE_FRACTION sets the elite share here too.
+BREED_RATIO = 0.5
+PHI1 = PHI2 = 0.5
+MUTATION_RATE = 0.05
+MUTATION_SIGMA_FRAC = 0.01
 
 
 @dataclass
@@ -23,23 +32,18 @@ class ContinuousConfig:
     c2: float = 1.5
     swarm_size: int = 20
     iterations: int = 200
-    breed_ratio: float = 0.5
-    phi1: float = 0.5
-    phi2: float = 0.5
-    elite_fraction: float = 0.1
-    mutation_rate: float = 0.05
-    mutation_sigma_frac: float = 0.01
     rng_seed: int = 0
 
     def __post_init__(self):
         if not self.bounds:
             raise ValueError("bounds must be non-empty")
-        if any(lo >= hi for lo, hi in self.bounds):
-            raise ValueError("each bound must satisfy lo < hi")
-        if not (0.0 < self.phi1 < 1.0 and 0.0 < self.phi2 < 1.0):
-            raise ValueError("phi1 and phi2 must lie in (0, 1)")
-        if not 0.0 <= self.breed_ratio <= 1.0:
-            raise ValueError("breed_ratio outside [0, 1]")
+        if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi
+                   for lo, hi in self.bounds):
+            raise ValueError("each bound must be finite with lo < hi")
+        if self.swarm_size < 1:
+            raise ValueError("swarm_size must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
 
 
 @dataclass
@@ -130,11 +134,11 @@ def run_continuous(objective, config: ContinuousConfig,
                 gbest_x = p.position.copy()
         trace.append(gbest_val)
 
-        n_elite = math.ceil(config.elite_fraction * n)
+        n_elite = math.ceil(ELITE_FRACTION * n)
         ranked = sorted(swarm, key=lambda p: p.value)
         elite = ranked[:n_elite]
         rest = ranked[n_elite:]
-        z = round(len(rest) * config.breed_ratio)
+        z = round(len(rest) * BREED_RATIO)
         idx = rng.permutation(len(rest))
         pso_part = [rest[i] for i in idx[:z]]
         ga_part = [rest[i] for i in idx[z:]]
@@ -145,10 +149,10 @@ def run_continuous(objective, config: ContinuousConfig,
         order = rng.permutation(len(ga_part))
         for i in range(0, len(order) - 1, 2):
             pa, qa = ga_part[order[i]], ga_part[order[i + 1]]
-            child1, child2 = vpac_crossover(pa, qa, config.phi1, config.phi2)
+            child1, child2 = vpac_crossover(pa, qa, PHI1, PHI2)
             for parent, child in ((pa, child1), (qa, child2)):
-                if rng.uniform() < config.mutation_rate:
-                    child = child + rng.normal(0.0, config.mutation_sigma_frac * span)
+                if rng.uniform() < MUTATION_RATE:
+                    child = child + rng.normal(0.0, MUTATION_SIGMA_FRAC * span)
                 parent.position = np.clip(child, lo, hi)
                 parent.velocity = np.zeros_like(parent.velocity)
 

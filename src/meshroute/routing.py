@@ -11,7 +11,6 @@ minimum-cost subpaths.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -88,9 +87,6 @@ class RunResult:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 class RouteContext:
@@ -271,15 +267,14 @@ def oplus_update(particle: Particle, gbest_path: list[int], ctx: RouteContext,
 
     Two merge stages (toward pbest then gbest); each stage's replacement
     probability is min(1, c * r) with fresh r ~ U(0,1), so c1/c2 act as
-    attraction strengths.  The merged sequence is repaired; on repair
-    failure the particle keeps its previous route.
+    attraction strengths.  The merged sequence keeps the source and takes
+    its nodes from routes of this run, so its repair always succeeds.
     """
     p1 = min(1.0, config.c1 * rng.random())
     step = combine_paths(particle.path, particle.pbest_path, ctx, p1, rng)
     p2 = min(1.0, config.c2 * rng.random())
     step = combine_paths(step, gbest_path, ctx, p2, rng)
-    repaired = repair_path(step, ctx)
-    return repaired if repaired is not None else particle.path
+    return repair_path(step, ctx)
 
 
 def crossover_children(p1: list[int], p2: list[int],
@@ -309,17 +304,15 @@ def two_point_crossover(p1: list[int], p2: list[int], ctx: RouteContext,
                         rng: random.Random) -> tuple[list[int], list[int]]:
     """Crossover with randomly drawn windows plus repair.
 
-    Parents shorter than 3 nodes pass through unchanged; a child whose
-    repair fails falls back to its base parent.
+    Parents shorter than 3 nodes pass through unchanged.  Children keep the
+    source and take their nodes from the parents, so repair always succeeds.
     """
     if len(p1) < 3 or len(p2) < 3:
         return p1, p2
     cuts = (draw_cuts(p1, p2, rng), draw_cuts(p2, p1, rng))
     raw1, raw2 = crossover_children(p1, p2, cuts)
-    child1 = repair_path(remove_loops(raw1), ctx)
-    child2 = repair_path(remove_loops(raw2), ctx)
-    return (child1 if child1 is not None else p1,
-            child2 if child2 is not None else p2)
+    return (repair_path(remove_loops(raw1), ctx),
+            repair_path(remove_loops(raw2), ctx))
 
 
 def mutate(path: list[int], ctx: RouteContext, rng: random.Random,

@@ -135,8 +135,9 @@ class TopologyParams:
             raise TopologyError("node_count must be >= 2")
         if not 1 <= self.gateway_count < self.node_count:
             raise TopologyError("gateway_count must be in [1, node_count)")
-        if self.area is not None and (self.area[0] <= 0 or self.area[1] <= 0):
-            raise TopologyError("degenerate area")
+        if self.area is not None and not all(
+                math.isfinite(side) and side > 0 for side in self.area):
+            raise TopologyError("area sides must be finite and positive")
         if not (math.isfinite(self.transmission_range)
                 and self.transmission_range > 0):
             raise TopologyError("transmission_range must be finite and positive")

@@ -11,10 +11,13 @@ must say so, re-run the acceptance gate and record the new values here.
 import csv
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 from meshroute import (
+    ContinuousConfig,
     HybridConfig,
     MeshTopology,
     PenaltyCoeffs,
@@ -23,6 +26,7 @@ from meshroute import (
     generate_topology,
     oracle_best,
     run,
+    run_continuous,
 )
 from meshroute.cli import ExperimentPlan, default_source, run_bench
 
@@ -192,3 +196,38 @@ def bench_digest(out_dir) -> tuple[str, str]:
 def test_bench_outputs_unchanged(tmp_path, workers):
     run_bench(ExperimentPlan(**BENCH_PLAN), str(tmp_path), workers=workers)
     assert bench_digest(tmp_path) == (BENCH_SHA256, SUMMARY_SHA256)
+
+
+def _sphere(x):
+    return float((x ** 2).sum())
+
+
+def _rastrigin(x):
+    return float(10 * len(x) + (x ** 2 - 10 * np.cos(2 * math.pi * x)).sum())
+
+
+# The runs tests/test_continuous.py checks: (objective, bounds, swarm_size,
+# iterations, rng_seed).
+CONTINUOUS_RUNS = (
+    (_sphere, [(-5.0, 5.0)], 20, 200, 0),
+    (_sphere, [(-5.0, 5.0)] * 2, 15, 50, 3),
+    (_rastrigin, [(-5.12, 5.12)] * 2, 30, 300, 5),
+)
+
+# sha256 of each run's best position bytes, repr(value) and repr(trace),
+# recorded while the continuous swarm's fixed settings were still fields of
+# ContinuousConfig.
+CONTINUOUS_SHA256 = (
+    "725e4df27ce3e4eaf47f3ad9ec2e23590d8f1e4fcd94cf9f7a9f678e64fe87f5")
+
+
+def test_continuous_trajectories_unchanged():
+    digest = hashlib.sha256()
+    for objective, bounds, swarm_size, iterations, seed in CONTINUOUS_RUNS:
+        x, value, trace = run_continuous(objective, ContinuousConfig(
+            bounds=bounds, swarm_size=swarm_size, iterations=iterations,
+            rng_seed=seed))
+        digest.update(x.tobytes())
+        digest.update(repr(value).encode())
+        digest.update(repr(trace).encode())
+    assert digest.hexdigest() == CONTINUOUS_SHA256

@@ -51,6 +51,15 @@ class TestGen:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("area", [["nan", "1000"], ["inf", "1000"],
+                                      ["1000", "nan"]])
+    def test_non_finite_area_is_usage_error(self, tmp_path, capsys, area):
+        out = tmp_path / "t.json"
+        rc = main(["gen", "--nodes", "25", "--area", *area, "--out", str(out)])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_flags_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):

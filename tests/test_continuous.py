@@ -25,6 +25,28 @@ def config(dim=2, **kw):
     return ContinuousConfig(**kw)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("kw", [
+        dict(bounds=[]),
+        dict(bounds=[(1.0, 1.0)]),
+        dict(bounds=[(0.0, math.nan)]),
+        dict(bounds=[(0.0, math.inf)]),
+        dict(bounds=[(-math.inf, 0.0)]),
+        dict(bounds=[(-1.0, 1.0)], swarm_size=0),
+        dict(bounds=[(-1.0, 1.0)], iterations=0),
+    ], ids=["empty", "lo-equals-hi", "nan", "inf", "minus-inf",
+            "no-particles", "no-iterations"])
+    def test_unrunnable_config_rejected(self, kw):
+        with pytest.raises(ValueError):
+            ContinuousConfig(**kw)
+
+    def test_single_particle_runs(self):
+        cfg = ContinuousConfig(bounds=[(-1.0, 1.0)], swarm_size=1,
+                               iterations=5, rng_seed=2)
+        x, value, trace = run_continuous(lambda v: float(v[0] ** 2), cfg)
+        assert len(trace) == 5 and value == trace[-1] == x[0] ** 2
+
+
 class TestPsoStep:
     def test_pure_inertia(self):
         p = particle([0.0, 0.0], [1.0, 0.0])

@@ -101,6 +101,13 @@ class TestGeneration:
         with pytest.raises(TopologyError):
             TopologyParams(node_count=5, transmission_range=reach)
 
+    @pytest.mark.parametrize("area", [
+        (math.nan, 1000.0), (math.inf, 1000.0), (1000.0, math.nan),
+        (1000.0, -math.inf), (-1.0, 1000.0)])
+    def test_bad_area_rejected(self, area):
+        with pytest.raises(TopologyError):
+            TopologyParams(node_count=5, area=area)
+
     def test_bandwidth_and_interference_saturation_pinned(self):
         # Today's link model: one bandwidth everywhere, and 2 radios per node
         # put most links on a channel shared with a neighbouring link.  A
