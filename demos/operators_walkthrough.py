@@ -53,14 +53,13 @@ def main() -> None:
     print("  stage by stage the cheaper-from-source node wins: "
           "7 over 2, 5 over 4, 9 over 10\n")
 
-    p1 = [1, 7, 5, 8, 12, 15, 21, 24, 25]
-    p2 = [1, 7, 5, 10, 17, 19, 22, 25]
-    c1, c2 = crossover_children(p1, p2, cuts=((3, 4), (3, 7)))
-    print(f"crossover windows [3:4) and [3:7):")
+    p1 = [1, 2, 4, 9, 5, 10, 13]
+    p2 = [1, 7, 5, 9, 13]
+    c1, c2 = crossover_children(p1, p2, cuts=((1, 3), (2, 3)))
+    print("crossover windows [1:3) and [2:3):")
     print(f"  parent 1 {p1}\n  parent 2 {p2}")
-    print(f"  child 1  {c1}\n  child 2  {c2}")
-    print("  (raw children; in the solver a repair pass stitches them into "
-          "routes)\n")
+    print(f"  child 1  {c1}  (revisits 5)\n  child 2  {c2}  (7-4 is no link)")
+    print(f"  repaired {repair_path(c1, ctx)} and {repair_path(c2, ctx)}\n")
 
     broken = [1, 7, 9, 13]          # 7-9 is not a link in this mesh
     print(f"repair {broken} -> {repair_path(broken, ctx)}")

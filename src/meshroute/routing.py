@@ -140,19 +140,17 @@ def remove_loops(seq: list[int]) -> list[int]:
     """Cut every loop by excising between the first and last occurrence of a
     repeated node, until the sequence is simple."""
     out = list(seq)
-    while True:
+    while len(set(out)) < len(out):
         first: dict[int, int] = {}
-        dup = None
         for idx, node in enumerate(out):
             if node in first:
                 dup = node
             else:
                 first[node] = idx
-        if dup is None:
-            return out
         lo = first[dup]
         hi = len(out) - 1 - out[::-1].index(dup)
         out = out[: lo + 1] + out[hi + 1:]
+    return out
 
 
 def repair_path(raw: list[int], ctx: RouteContext) -> list[int] | None:
@@ -208,19 +206,28 @@ def random_walk_path(ctx: RouteContext, rng: random.Random) -> list[int]:
     nearest gateway after WALK_RESTARTS attempts.
     """
     source, gateways = ctx.source, ctx.gateways
-    neighbors = ctx.topo.neighbors
-    choice = rng.choice
+    adjacency = ctx.topo.adjacency
+    getrandbits = rng.getrandbits
     for _ in range(WALK_RESTARTS):
         path = [source]
-        visited = {source}
+        visited = bytearray(len(adjacency))
+        visited[source] = 1
         node = source
         while True:
-            options = [v for v in neighbors(node) if v not in visited]
-            if not options:
+            options = [v for v in adjacency[node] if not visited[v]]
+            n = len(options)
+            if not n:
                 break
-            node = choice(options)
+            # rng.choice(options) without its call overhead: the same draws
+            # as CPython's Random._randbelow, k from n (not n - 1), so a
+            # one-option step still consumes the stream.
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            node = options[r]
             path.append(node)
-            visited.add(node)
+            visited[node] = 1
             if node in gateways:
                 return path
     return ctx.topo.gateway_path(source)

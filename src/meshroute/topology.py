@@ -211,6 +211,12 @@ class MeshTopology:
         """Neighbours of ``u`` in ascending id order."""
         return self._adj[u]
 
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Every node's neighbours, indexed by node id: ``adjacency[u]`` is
+        ``neighbors(u)``, for loops that step through many nodes."""
+        return self._adj
+
     def adjacent(self, u: int, v: int) -> bool:
         """True iff a link joins ``u`` and ``v``."""
         return v in self._adj_sets[u]

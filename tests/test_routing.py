@@ -48,6 +48,57 @@ def ctx_for(topo, source):
     return RouteContext(topo, source, REQ, coeffs)
 
 
+def reference_walk(ctx, rng):
+    """The walk as first written, drawing each step with rng.choice; the
+    solver's walk must return the same paths and leave the same RNG
+    state."""
+    source, gateways = ctx.source, ctx.gateways
+    neighbors = ctx.topo.neighbors
+    choice = rng.choice
+    for _ in range(routing.WALK_RESTARTS):
+        path = [source]
+        visited = {source}
+        node = source
+        while True:
+            options = [v for v in neighbors(node) if v not in visited]
+            if not options:
+                break
+            node = choice(options)
+            path.append(node)
+            visited.add(node)
+            if node in gateways:
+                return path
+    return ctx.topo.gateway_path(source)
+
+
+def reference_remove_loops(seq):
+    """Loop excision as first written, without the simple-sequence exit."""
+    out = list(seq)
+    while True:
+        first = {}
+        dup = None
+        for idx, node in enumerate(out):
+            if node in first:
+                dup = node
+            else:
+                first[node] = idx
+        if dup is None:
+            return out
+        lo = first[dup]
+        hi = len(out) - 1 - out[::-1].index(dup)
+        out = out[: lo + 1] + out[hi + 1:]
+
+
+def spur_mesh():
+    """Chain 0-1-2-3-4-5 to gateway 5, every chain node but the last with
+    dead-end spurs, some two nodes long: about 1 walk in 108 reaches the
+    gateway, and a walk entering 6, 9 or 13 takes a one-option step."""
+    chain = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    spurs = [(0, 6), (6, 7), (0, 8), (1, 9), (9, 10), (1, 11), (2, 12),
+             (3, 13), (13, 14), (3, 15), (4, 16)]
+    return make_topo(17, {e: {} for e in chain + spurs}, gateways={5})
+
+
 @pytest.fixture
 def demo_ctx():
     return ctx_for(merge_demo_topo(), source=1)
@@ -116,6 +167,13 @@ class TestCombine:
         assert remove_loops([1, 2, 3, 2, 5]) == [1, 2, 5]
         assert remove_loops([1, 2, 1, 3, 1, 4]) == [1, 4]
         assert remove_loops([1, 2, 3]) == [1, 2, 3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=30))
+    def test_loop_excision_matches_reference(self, seq):
+        out = remove_loops(seq)
+        assert out == reference_remove_loops(seq)
+        assert len(set(out)) == len(out)
 
     def test_update_output_always_valid(self, demo_ctx):
         rng = random.Random(3)
@@ -309,6 +367,48 @@ class TestSwarmMachinery:
         assert [p.path for p in out] == [p.path for p in distinct]
 
 
+class TestRandomWalk:
+    @staticmethod
+    def assert_same_walks(ctx, seed, walks):
+        new_rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(walks):
+            assert (routing.random_walk_path(ctx, new_rng)
+                    == reference_walk(ctx, ref_rng))
+        assert new_rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("node_count", [25, 125])
+    def test_matches_choice_walk_on_generated_meshes(self, node_count):
+        for mesh_seed in range(3):
+            topo = generate_topology(TopologyParams(node_count=node_count,
+                                                    rng_seed=mesh_seed))
+            for percentile in (0.0, 0.25, 0.5, 0.75, 0.95):
+                ctx = ctx_for(topo, default_source(topo, percentile))
+                for seed in range(3):
+                    self.assert_same_walks(ctx, seed, walks=30)
+
+    def test_matches_choice_walk_through_restarts_and_one_option_steps(self):
+        ctx = ctx_for(spur_mesh(), 0)
+        for seed in range(20):
+            self.assert_same_walks(ctx, seed, walks=5)
+
+    def test_falls_back_to_gateway_path_after_restarts(self, monkeypatch):
+        topo = spur_mesh()
+        ctx = ctx_for(topo, 0)
+        tree_path = topo.gateway_path(0)
+        fallbacks = []
+
+        def recording(node):
+            fallbacks.append(node)
+            return tree_path
+        monkeypatch.setattr(topo, "gateway_path", recording)
+        # Seed 3 misses the gateway on all WALK_RESTARTS attempts.
+        new_rng, ref_rng = random.Random(3), random.Random(3)
+        assert routing.random_walk_path(ctx, new_rng) == tree_path
+        assert fallbacks == [0]
+        assert reference_walk(ctx, ref_rng) == tree_path
+        assert new_rng.getstate() == ref_rng.getstate()
+
+
 class TestRun:
     def test_two_node_graph(self):
         topo = make_topo(2, {(0, 1): {}}, gateways={1})
@@ -450,6 +550,10 @@ class TestProperties:
             trace = res.fitness_trace
             assert all(a >= b for a, b in zip(trace, trace[1:]))
             assert res.best_fitness.total >= oracle.total
+            # Every route ends at its first gateway: exactly one, last.
+            for path in [res.best_path, *res.incumbent_paths]:
+                assert path[-1] in topo.gateways
+                assert len(topo.gateways.intersection(path)) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(mesh=st.one_of(small_meshes(), tie_grids()),

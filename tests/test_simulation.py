@@ -48,6 +48,23 @@ class TestSimulatePath:
         assert res.avg_delay == pytest.approx(2.5, abs=0.01)
         assert res.avg_delay >= 2.0
 
+    def test_multi_hop_delay_sums_base_delay_and_mean_jitter(self):
+        # Five hops with distinct delay and jitter; no loss, so every packet
+        # is delivered and avg_delay is a mean over all of them.
+        delays = [1.0, 2.0, 3.5, 0.5, 4.0]
+        jitters = [0.4, 1.2, 2.0, 0.8, 3.0]
+        topo = make_topo(6, {(i, i + 1): {"delay": d, "jitter": j,
+                                          "loss_prob": 0.0}
+                             for i, (d, j) in enumerate(zip(delays, jitters))},
+                         gateways={5})
+        n = 20_000
+        res = simulate_path(topo, list(range(6)), TrafficSpec(n, seed=6))
+        # Each hop adds U(0, j): mean j/2, variance j^2/12.
+        expected = sum(delays) + sum(jitters) / 2
+        sigma = math.sqrt(sum(j * j for j in jitters) / 12 / n)
+        assert res.delivered_count == n
+        assert res.avg_delay == pytest.approx(expected, abs=4 * sigma)
+
     def test_appending_lossy_link_never_helps(self):
         base = {(0, 1): {"loss_prob": 0.05}}
         topo2 = make_topo(2, base, gateways={1})
