@@ -117,15 +117,16 @@ def path_metrics(topo: MeshTopology, path: list[int]) -> PathMetrics:
     """
     if not validate_path(topo, path, require_gateway=False):
         raise InvalidPathError(f"not a simple connected path: {path}")
-    links = [topo.link(u, v) for u, v in zip(path, path[1:])]
+    table = topo.link_table
+    links = [table[u][v] for u, v in zip(path, path[1:])]
     if not links:
         return PathMetrics(0.0, NO_LINK_BANDWIDTH, 0.0, 0.0, 0.0)
     return PathMetrics(
-        cost=sum(l.cost for l in links),
-        min_bw=min(l.bandwidth for l in links),
-        total_delay=sum(l.delay for l in links),
-        total_jitter=sum(l.jitter for l in links),
-        interference=sum(l.i_factor for l in links) / len(links),
+        cost=sum([l.cost for l in links]),
+        min_bw=min([l.bandwidth for l in links]),
+        total_delay=sum([l.delay for l in links]),
+        total_jitter=sum([l.jitter for l in links]),
+        interference=sum([l.i_factor for l in links]) / len(links),
     )
 
 

@@ -45,6 +45,11 @@ class HybridConfig:
     algorithm: str = "hybrid"
 
     def __post_init__(self):
+        counts = (self.swarm_size, self.max_iterations, self.stagnation_window)
+        if not all(type(c) is int for c in counts):  # no bools, no floats
+            raise ValueError(
+                "swarm_size, max_iterations and stagnation_window must be "
+                "integers")
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
         if self.max_iterations < 1:
@@ -167,12 +172,13 @@ def repair_path(raw: list[int], ctx: RouteContext) -> list[int] | None:
     n = ctx.topo.node_count
     if any(not 0 <= u < n for u in raw):
         return None
+    table = ctx.topo.link_table
     stitched = [raw[0]]
     for v in raw[1:]:
         u = stitched[-1]
         if v == u:
             continue
-        if ctx.topo.adjacent(u, v):
+        if v in table[u]:
             stitched.append(v)
         else:
             sub = ctx.topo.shortest_path(u, v)
@@ -275,12 +281,17 @@ def oplus_update(particle: Particle, gbest_path: list[int], ctx: RouteContext,
     Two merge stages (toward pbest then gbest); each stage's replacement
     probability is min(1, c * r) with fresh r ~ U(0,1), so c1/c2 act as
     attraction strengths.  The merged sequence keeps the source and takes
-    its nodes from routes of this run, so its repair always succeeds.
+    its nodes from routes of this run, so its repair always succeeds.  When
+    the merges leave the particle's route as it was, that route is returned
+    unrepaired: every route of a run is already a valid source->gateway
+    path with its one gateway at the end, which repair returns unchanged.
     """
     p1 = min(1.0, config.c1 * rng.random())
     step = combine_paths(particle.path, particle.pbest_path, ctx, p1, rng)
     p2 = min(1.0, config.c2 * rng.random())
     step = combine_paths(step, gbest_path, ctx, p2, rng)
+    if step == particle.path:
+        return particle.path
     return repair_path(step, ctx)
 
 

@@ -24,6 +24,8 @@ class TrafficSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if type(self.packet_count) is not int:  # no bools, no floats
+            raise ValueError("packet_count must be an integer")
         if self.packet_count < 1:
             raise ValueError("packet_count must be >= 1")
 
@@ -53,7 +55,8 @@ def simulate_path(topo: MeshTopology, path: list[int],
     """
     if not validate_path(topo, path, require_gateway=False):
         raise InvalidPathError(f"cannot simulate invalid path: {path}")
-    links = [topo.link(u, v) for u, v in zip(path, path[1:])]
+    table = topo.link_table
+    links = [table[u][v] for u, v in zip(path, path[1:])]
     n = traffic.packet_count
     rng = np.random.default_rng(traffic.seed)
     if not links:
@@ -64,13 +67,15 @@ def simulate_path(topo: MeshTopology, path: list[int],
     base_delay = float(sum(l.delay for l in links))
     jitter = np.array([l.jitter for l in links])
 
-    survive = rng.uniform(size=(n, len(links))) >= loss[None, :]
-    delivered = survive.all(axis=1)
-    jitter_samples = rng.uniform(0.0, jitter[None, :], size=(n, len(links)))
-    delays = base_delay + jitter_samples.sum(axis=1)
+    delivered = (rng.random((n, len(links))) >= loss).all(axis=1)
+    # Each hop's jitter is uniform on [0, jitter): the second draw, scaled
+    # in place by the link's jitter; delays are kept for delivered packets.
+    jitter_samples = rng.random((n, len(links)))
+    jitter_samples *= jitter
+    delays = base_delay + jitter_samples.sum(axis=1)[delivered]
 
-    count = int(delivered.sum())
-    avg = float(delays[delivered].mean()) if count else math.nan
+    count = len(delays)
+    avg = float(delays.mean()) if count else math.nan
     return SimResult(pdr=count / n, avg_delay=avg, delivered_count=count,
                      packet_count=n)
 

@@ -7,10 +7,11 @@ carries scalar QoS weights (cost, bandwidth, delay, jitter, loss probability)
 plus a normalized interference factor derived from channel separation against
 its neighboring links.
 
-The graph is held in plain per-node tuples built once at construction, and
-shortest paths come from one heapq Dijkstra over dense distance/predecessor
-lists, cached as compact arrays per source and for all gateways together;
-numpy (used by the generator) is the only third-party dependency.
+The graph is held in plain per-node tuples and neighbour-to-link dicts built
+once at construction, and shortest paths come from one heapq Dijkstra over
+dense distance/predecessor lists, cached as compact arrays per source and for
+all gateways together; numpy (used by the generator) is the only third-party
+dependency.
 """
 
 from __future__ import annotations
@@ -184,14 +185,16 @@ class MeshTopology:
         self.transmission_range = float(transmission_range)
         # Dijkstra relaxes neighbours in link insertion order, which fixes
         # how equal-cost ties break; everything else reads the sorted tuples
-        # or the sets.
+        # or the per-node link table.
         weighted: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
+        table: list[dict[int, Link]] = [{} for _ in self.nodes]
         for (u, v), link in self._links.items():
             weighted[u].append((v, link.cost))
             weighted[v].append((u, link.cost))
+            table[u][v] = table[v][u] = link
         self._weighted_adj = tuple(tuple(w) for w in weighted)
         self._adj = tuple(tuple(sorted(v for v, _ in w)) for w in weighted)
-        self._adj_sets = tuple(frozenset(a) for a in self._adj)
+        self._link_table = tuple(table)
         self._dijkstra_cache: dict[int, tuple[array, array]] = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -217,9 +220,17 @@ class MeshTopology:
         ``neighbors(u)``, for loops that step through many nodes."""
         return self._adj
 
+    @property
+    def link_table(self) -> tuple[dict[int, Link], ...]:
+        """Every node's links, indexed by node id: ``link_table[u][v]`` is
+        ``link(u, v)`` for each neighbour ``v`` of ``u``, keyed in link
+        insertion order, for loops that check or fetch many hops.  Read it,
+        never modify it."""
+        return self._link_table
+
     def adjacent(self, u: int, v: int) -> bool:
         """True iff a link joins ``u`` and ``v``."""
-        return v in self._adj_sets[u]
+        return v in self._link_table[u]
 
     def has_node(self, u: int) -> bool:
         return 0 <= u < len(self.nodes)
@@ -231,11 +242,14 @@ class MeshTopology:
     # -- shortest paths ----------------------------------------------------
 
     def _dijkstra(self, sources: Iterable[int],
-                  avoid: AbstractSet[int] = frozenset(),
+                  avoid: AbstractSet[int] = frozenset(), target: int = -1,
                   ) -> tuple[list[float], list[int]]:
         """Least link-cost sum from the nearest source to every node, and
         each node's predecessor on that path (-1 at sources and unreached
-        nodes).  Paths never enter a node in ``avoid``.
+        nodes).  Paths never enter a node in ``avoid``.  Given a ``target``,
+        the search stops once it settles that node: its distance and
+        predecessor chain are then final, while other nodes' entries may
+        not be.
 
         Equal-cost ties break as pinned in tests/test_behaviour_pin.py:
         heap entries are (distance, push counter, node), neighbours are
@@ -259,6 +273,8 @@ class MeshTopology:
             d, _, u = heappop(heap)
             if d > dist[u]:
                 continue
+            if u == target:
+                break
             for v, cost in adj[u]:
                 nd = d + cost
                 if nd < dist[v]:
@@ -326,12 +342,13 @@ class MeshTopology:
         """A least-cost path, or None when none exists.
 
         The path enters no node in ``avoid``; such a query is computed
-        afresh rather than from the per-source cache.
+        afresh rather than from the per-source cache, and stops once it
+        settles ``target``.
         """
         if not (self.has_node(source) and self.has_node(target)):
             raise TopologyError("unknown node id")
         if avoid:
-            dist, pred = self._dijkstra((source,), avoid)
+            dist, pred = self._dijkstra((source,), avoid, target)
         else:
             dist, pred = self._source_dijkstra(source)
         if dist[target] == UNREACHABLE:
@@ -406,9 +423,9 @@ def validate_path(topo: MeshTopology, path: list[int],
             return False
     if len(set(path)) != len(path):
         return False
-    adjacent = topo.adjacent
+    table = topo.link_table
     for u, v in zip(path, path[1:]):
-        if not adjacent(u, v):
+        if v not in table[u]:
             return False
     if require_gateway and path[-1] not in topo.gateways:
         return False

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import FrozenInstanceError
 
@@ -89,6 +90,17 @@ def reference_remove_loops(seq):
         out = out[: lo + 1] + out[hi + 1:]
 
 
+def reference_oplus_update(particle, gbest_path, ctx, config, rng):
+    """The PSO update as first written, repairing every merged route, as
+    (merged route, repaired route); the solver's update must return an
+    equal route and leave the same RNG state."""
+    p1 = min(1.0, config.c1 * rng.random())
+    step = combine_paths(particle.path, particle.pbest_path, ctx, p1, rng)
+    p2 = min(1.0, config.c2 * rng.random())
+    step = combine_paths(step, gbest_path, ctx, p2, rng)
+    return step, repair_path(step, ctx)
+
+
 def spur_mesh():
     """Chain 0-1-2-3-4-5 to gateway 5, every chain node but the last with
     dead-end spurs, some two nodes long: about 1 walk in 108 reaches the
@@ -110,6 +122,11 @@ class TestHybridConfig:
         dict(breed_ratio=1.5),
         dict(stagnation_window=0),
         dict(stagnation_window=-3),
+        # Counts must be plain ints: these once passed the range checks and
+        # then failed inside range().
+        dict(swarm_size=30.0),
+        dict(max_iterations=float("nan")),
+        dict(stagnation_window=True),
     ])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -407,6 +424,63 @@ class TestRandomWalk:
         assert fallbacks == [0]
         assert reference_walk(ctx, ref_rng) == tree_path
         assert new_rng.getstate() == ref_rng.getstate()
+
+
+class TestUnmovedParticles:
+    """oplus_update returns a particle's route unrepaired when the merges
+    leave it as it was, on the premise that repair_path returns every
+    route of a run unchanged."""
+
+    @pytest.mark.parametrize("node_count", [25, 75, 125])
+    def test_repair_returns_every_solver_route_unchanged(self, node_count,
+                                                         monkeypatch):
+        swarms = []
+        updates = {"unmoved": 0, "moved": 0}
+
+        def recording(original):
+            def wrapper(*args):
+                swarm = original(*args)
+                swarms.append(swarm)
+                return swarm
+            return wrapper
+
+        original_update = routing.oplus_update
+
+        def checked_update(particle, gbest_path, ctx, config, rng):
+            ref_rng = random.Random()
+            ref_rng.setstate(rng.getstate())
+            merged, expected = reference_oplus_update(
+                particle, gbest_path, ctx, config, ref_rng)
+            out = original_update(particle, gbest_path, ctx, config, rng)
+            assert out == expected
+            assert rng.getstate() == ref_rng.getstate()
+            if merged == particle.path:
+                assert out is particle.path
+                updates["unmoved"] += 1
+            else:
+                updates["moved"] += 1
+            return out
+
+        monkeypatch.setattr(routing, "init_swarm",
+                            recording(routing.init_swarm))
+        monkeypatch.setattr(routing, "dedupe", recording(routing.dedupe))
+        monkeypatch.setattr(routing, "oplus_update", checked_update)
+        for mesh_seed, percentile, algorithm in itertools.product(
+                range(2), (0.25, 0.75), ("pso", "ga", "hybrid")):
+            topo = generate_topology(TopologyParams(node_count=node_count,
+                                                    rng_seed=mesh_seed))
+            coeffs = PenaltyCoeffs.for_request(REQ, topo)
+            source = default_source(topo, percentile)
+            ctx = ctx_for(topo, source)
+            swarms.clear()
+            run(topo, source, REQ, coeffs,
+                HybridConfig(rng_seed=5, algorithm=algorithm))
+            routes = {tuple(route) for swarm in swarms for p in swarm
+                      for route in (p.path, p.pbest_path)}
+            assert len(swarms) >= 2
+            for route in map(list, routes):
+                assert repair_path(route, ctx) == route
+        assert updates["unmoved"] and updates["moved"]
 
 
 class TestRun:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from meshroute import (
@@ -7,6 +8,7 @@ from meshroute import (
     InvalidPathError,
     PenaltyCoeffs,
     QosRequest,
+    SimResult,
     TopologyParams,
     TrafficSpec,
     evaluate_routing,
@@ -15,6 +17,28 @@ from meshroute import (
 )
 
 from conftest import make_topo, source_for
+
+
+def reference_simulate(topo, path, traffic):
+    """simulate_path as first written: both draws through rng.uniform, the
+    jitter drawn for every packet and averaged over the delivered ones."""
+    links = [topo.link(u, v) for u, v in zip(path, path[1:])]
+    n = traffic.packet_count
+    rng = np.random.default_rng(traffic.seed)
+    if not links:
+        return SimResult(pdr=1.0, avg_delay=0.0, delivered_count=n,
+                         packet_count=n)
+    loss = np.array([l.loss_prob for l in links])
+    base_delay = float(sum(l.delay for l in links))
+    jitter = np.array([l.jitter for l in links])
+    survive = rng.uniform(size=(n, len(links))) >= loss[None, :]
+    delivered = survive.all(axis=1)
+    jitter_samples = rng.uniform(0.0, jitter[None, :], size=(n, len(links)))
+    delays = base_delay + jitter_samples.sum(axis=1)
+    count = int(delivered.sum())
+    avg = float(delays[delivered].mean()) if count else math.nan
+    return SimResult(pdr=count / n, avg_delay=avg, delivered_count=count,
+                     packet_count=n)
 
 
 def binomial_3sigma(p_expected, n):
@@ -81,6 +105,32 @@ class TestSimulatePath:
         b = simulate_path(topo, [0, 1, 2], TrafficSpec(10_000, seed=5))
         assert a == b
 
+    def test_matches_uniform_reference(self):
+        # Generated multi-hop routes, a route through a link that drops
+        # every packet, and a one-node path.
+        dead = make_topo(4, {(0, 1): {"loss_prob": 0.1},
+                             (1, 2): {"loss_prob": 1.0},
+                             (2, 3): {"jitter": 2.0}}, gateways={3})
+        cases = [(dead, [0, 1, 2, 3]), (dead, [3])]
+        for seed in range(3):
+            topo = generate_topology(TopologyParams(node_count=60,
+                                                    rng_seed=seed))
+            cases += [(topo, topo.gateway_path(n)) for n in (0, 20, 40)]
+        assert any(len(path) > 4 for _, path in cases)
+        for k, (topo, path) in enumerate(cases):
+            for count in (1, 7, 5000):
+                traffic = TrafficSpec(count, seed=k)
+                got = simulate_path(topo, path, traffic)
+                want = reference_simulate(topo, path, traffic)
+                assert (got.pdr, got.delivered_count, got.packet_count) == (
+                    want.pdr, want.delivered_count, want.packet_count)
+                assert (got.avg_delay == want.avg_delay
+                        or math.isnan(got.avg_delay)
+                        and math.isnan(want.avg_delay))
+                assert type(got.delivered_count) is int
+        blocked = simulate_path(dead, [0, 1, 2, 3], TrafficSpec(100, seed=0))
+        assert blocked.delivered_count == 0 and math.isnan(blocked.avg_delay)
+
     def test_invalid_path_rejected(self):
         topo = make_topo(3, {(0, 1): {}}, gateways={1})
         with pytest.raises(InvalidPathError):
@@ -89,6 +139,12 @@ class TestSimulatePath:
     def test_bad_traffic_spec(self):
         with pytest.raises(ValueError):
             TrafficSpec(packet_count=0)
+
+    @pytest.mark.parametrize("count", [10.5, True])
+    def test_non_integer_packet_count_rejected(self, count):
+        # Both once passed the range check and then failed inside numpy.
+        with pytest.raises(ValueError, match="integer"):
+            TrafficSpec(packet_count=count)
 
 
 class TestEvaluateRouting:

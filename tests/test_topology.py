@@ -1,6 +1,8 @@
+import heapq
 import itertools
 import json
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -23,6 +25,36 @@ from meshroute.cli import default_source
 from meshroute.topology import BANDWIDTH
 
 from conftest import LINK_DEFAULTS, make_topo, source_for
+from test_behaviour_pin import tie_mesh
+
+
+def reference_detour(topo, source, target, avoid):
+    """shortest_path(source, target, avoid) from a Dijkstra that settles
+    every node it can reach, as first written: heap entries are (distance,
+    push counter, node), neighbours are relaxed in link insertion order
+    (the order of each link_table row), a node's entry is replaced only on
+    a strictly smaller distance, and no path enters a node in ``avoid``."""
+    dist = [math.inf] * topo.node_count
+    pred = [-1] * topo.node_count
+    dist[source] = 0.0
+    heap = [(0.0, 0, source)]
+    pushes = 1
+    while heap:
+        d, _, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, link in topo.link_table[u].items():
+            nd = d + link.cost
+            if nd < dist[v] and v not in avoid:
+                dist[v], pred[v] = nd, u
+                heapq.heappush(heap, (nd, pushes, v))
+                pushes += 1
+    if dist[target] == math.inf:
+        return None
+    path = [target]
+    while path[-1] != source:
+        path.append(pred[path[-1]])
+    return path[::-1]
 
 
 class TestInterferenceFactor:
@@ -159,6 +191,41 @@ class TestShortestPath:
         # Detour queries bypass the per-source cache.
         assert topo.shortest_path(0, 3) == [0, 1, 3]
 
+    @pytest.mark.parametrize("node_count", [25, 125])
+    def test_detour_query_matches_full_dijkstra(self, node_count):
+        # Random (source, target, avoid) triples, a fifth of them with the
+        # target inside avoid; large avoid sets leave targets unreachable.
+        rng = random.Random(node_count)
+        found = Counter()
+        for mesh_seed in range(3):
+            topo = generate_topology(TopologyParams(node_count=node_count,
+                                                    rng_seed=mesh_seed))
+            n = topo.node_count
+            for _ in range(300):
+                source, target = rng.randrange(n), rng.randrange(n)
+                avoid = set(rng.sample(range(n), rng.randint(1, n // 2)))
+                if rng.random() < 0.2:
+                    avoid.add(target)
+                path = topo.shortest_path(source, target, avoid)
+                assert path == reference_detour(topo, source, target, avoid)
+                found[path is None] += 1
+        assert found[True] and found[False]
+
+    def test_detour_query_matches_full_dijkstra_on_ties_and_islands(self):
+        # tie_mesh has several equal-cost paths between most pairs; the
+        # second mesh has a component no gateway reaches.
+        island = make_topo(6, {(0, 1): {}, (1, 2): {}, (0, 2): {"cost": 4.0},
+                               (3, 4): {}, (4, 5): {}}, gateways={2})
+        for topo in (tie_mesh(), island):
+            n = topo.node_count
+            for source, target in itertools.product(range(n), repeat=2):
+                for size in (1, 2):
+                    for avoid in map(set, itertools.combinations(range(n),
+                                                                 size)):
+                        assert (topo.shortest_path(source, target, avoid)
+                                == reference_detour(topo, source, target,
+                                                    avoid))
+
     def test_triangle_inequality(self):
         topo = generate_topology(TopologyParams(node_count=15, rng_seed=11))
         for a, b, c in itertools.permutations(range(6), 3):
@@ -248,6 +315,7 @@ class TestAdjacency:
         for u, v in itertools.permutations(range(topo.node_count), 2):
             assert topo.adjacent(u, v) == (topo.link(u, v) is not None)
             assert topo.adjacent(u, v) == (v in topo.neighbors(u))
+            assert topo.link_table[u].get(v) is topo.link(u, v)
 
     def test_connectivity(self):
         assert UNREACHABLE not in make_topo(3, {(0, 1): {}, (1, 2): {}},
