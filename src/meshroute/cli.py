@@ -19,7 +19,6 @@ import math
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 from .qos import PENALTY_MODES, PenaltyCoeffs, QosRequest
@@ -216,6 +215,9 @@ def run_bench(plan: ExperimentPlan, out_dir: str, workers: int = 1) -> None:
                            for i in range(plan.seeds_per_cell)])
     plans = [plan] * len(sizes)
     if workers > 1:
+        # Imported here: it loads multiprocessing, which a serial run and
+        # every other subcommand never use.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             instances = list(pool.map(run_cell, sizes, indices, plans))
     else:

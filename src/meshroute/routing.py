@@ -45,11 +45,13 @@ class HybridConfig:
     algorithm: str = "hybrid"
 
     def __post_init__(self):
-        counts = (self.swarm_size, self.max_iterations, self.stagnation_window)
+        # Any int seeds random.Random, negative ones too.
+        counts = (self.swarm_size, self.max_iterations, self.stagnation_window,
+                  self.rng_seed)
         if not all(type(c) is int for c in counts):  # no bools, no floats
             raise ValueError(
-                "swarm_size, max_iterations and stagnation_window must be "
-                "integers")
+                "swarm_size, max_iterations, stagnation_window and rng_seed "
+                "must be integers")
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
         if self.max_iterations < 1:

@@ -24,10 +24,13 @@ class TrafficSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if type(self.packet_count) is not int:  # no bools, no floats
-            raise ValueError("packet_count must be an integer")
+        if not (type(self.packet_count) is int
+                and type(self.seed) is int):  # no bools, no floats
+            raise ValueError("packet_count and seed must be integers")
         if self.packet_count < 1:
             raise ValueError("packet_count must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

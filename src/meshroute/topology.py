@@ -20,8 +20,9 @@ import heapq
 import json
 import math
 from array import array
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence, Set as AbstractSet
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -132,6 +133,12 @@ class TopologyParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        counts = (self.node_count, self.gateway_count, self.rng_seed)
+        if not all(type(c) is int for c in counts):  # no bools, no floats
+            raise TopologyError(
+                "node_count, gateway_count and rng_seed must be integers")
+        if self.rng_seed < 0:
+            raise TopologyError("rng_seed must be >= 0")
         if self.node_count < 2:
             raise TopologyError("node_count must be >= 2")
         if not 1 <= self.gateway_count < self.node_count:
@@ -489,6 +496,32 @@ def _distances(ax: np.ndarray, ay: np.ndarray,
     return np.hypot(ax[:, None] - bx[None, :], ay[:, None] - by[None, :])
 
 
+def _worst_interference(links: Sequence[tuple[int, int, int]],
+                        ) -> list[float]:
+    """Per (u, v, channel) link, the worst interference_factor against any
+    other link sharing an endpoint, or 0.0 when no other link does.
+
+    IFACTOR_TABLE does not increase with separation, so the worst factor is
+    the factor of the smallest channel gap.
+    """
+    # in_use[x][c]: how many of node x's links are on channel c.
+    in_use: defaultdict[int, Counter[int]] = defaultdict(Counter)
+    for u, v, channel in links:
+        in_use[u][channel] += 1
+        in_use[v][channel] += 1
+    factors = []
+    for u, v, channel in links:
+        if in_use[u][channel] > 1 or in_use[v][channel] > 1:
+            gap = 0  # another link at an endpoint is on the same channel
+        else:
+            # The link is alone on its channel at both ends, so every other
+            # channel in use there is another link's.
+            gap = min((abs(c - channel) for x in (u, v) for c in in_use[x]
+                       if c != channel), default=None)
+        factors.append(0.0 if gap is None else interference_factor(gap))
+    return factors
+
+
 def _pick_gateways(positions: np.ndarray, count: int,
                    rng: np.random.Generator) -> list[int]:
     # Spread gateways over the deployment via a short k-means on node
@@ -534,31 +567,38 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
               for _ in range(n)]
     nodes = [Node(i, float(xs[i]), float(ys[i]), radios[i]) for i in range(n)]
 
-    def draw_link(u: int, v: int, synthetic: bool) -> Link:
+    # Each link's (u, v, channel, cost, delay, jitter, loss, synthetic),
+    # kept until its interference is known.  One integers() draw is the
+    # index Generator.choice would draw from the pool, and one random(4)
+    # gives the doubles that four scalar uniform() calls would scale, so the
+    # weights and the RNG state match drawing them one call at a time.
+    drawn: list[tuple] = []
+    (cost_lo, cost_hi), (delay_lo, delay_hi) = COST_RANGE, DELAY_RANGE
+    (jitter_lo, jitter_hi), (loss_lo, loss_hi) = JITTER_RANGE, LOSS_RANGE
+
+    def draw_link(u: int, v: int, synthetic: bool) -> None:
         shared = set(radios[u]) & set(radios[v])
         pool = sorted(shared) if shared else sorted(set(radios[u]) | set(radios[v]))
-        channel = int(rng.choice(pool))
-        return Link(
-            u, v, channel,
-            cost=float(rng.uniform(*COST_RANGE)),
-            bandwidth=BANDWIDTH,
-            delay=float(rng.uniform(*DELAY_RANGE)),
-            jitter=float(rng.uniform(*JITTER_RANGE)),
-            loss_prob=float(rng.uniform(*LOSS_RANGE)),
-            synthetic=synthetic,
-        )
+        channel = pool[int(rng.integers(0, len(pool)))]
+        cost, delay, jitter, loss = rng.random(4).tolist()
+        drawn.append((u, v, channel,
+                      cost_lo + (cost_hi - cost_lo) * cost,
+                      delay_lo + (delay_hi - delay_lo) * delay,
+                      jitter_lo + (jitter_hi - jitter_lo) * jitter,
+                      loss_lo + (loss_hi - loss_lo) * loss,
+                      synthetic))
 
     # Every pair within range, in row-major (u, v) order so the RNG draws
     # follow it.  numpy's distances only shortlist the pairs (with a little
     # slack for rounding); math.dist decides, as it decides the stitching.
-    links: dict[tuple[int, int], Link] = {}
     points = list(zip(xs.tolist(), ys.tolist()))
     reach = params.transmission_range
-    near = np.triu(_distances(xs, ys, xs, ys) <= reach * _SLACK, k=1)
+    distance = _distances(xs, ys, xs, ys)
+    near = np.triu(distance <= reach * _SLACK, k=1)
     for u, v in zip(*np.nonzero(near)):
         u, v = int(u), int(v)
         if math.dist(points[u], points[v]) <= reach:
-            links[(u, v)] = draw_link(u, v, synthetic=False)
+            draw_link(u, v, synthetic=False)
 
     # Stitch components until connected: each round links the component of
     # node 0 to its nearest other node, ties going to the other component
@@ -571,7 +611,7 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
             x = parent[x]
         return x
 
-    for u, v in links:
+    for u, v, *_ in drawn:
         parent[find(u)] = find(v)
     while True:
         roots = np.array([find(i) for i in range(n)])
@@ -582,33 +622,21 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
         lowest = np.full(n, n)
         np.minimum.at(lowest, roots, np.arange(n))
         base, other = np.flatnonzero(in_base), np.flatnonzero(~in_base)
-        block = _distances(xs[base], ys[base], xs[other], ys[other])
+        block = distance[np.ix_(base, other)]
         rows, cols = np.nonzero(block <= block.min() * _SLACK)
         _, _, u, v = min((math.dist(points[base[i]], points[other[j]]),
                           int(lowest[roots[other[j]]]), int(base[i]),
                           int(other[j]))
                          for i, j in zip(rows, cols))
         u, v = min(u, v), max(u, v)
-        links[(u, v)] = draw_link(u, v, synthetic=True)
+        draw_link(u, v, synthetic=True)
         parent[find(u)] = find(v)
 
-    # Worst-case overlap with any link sharing an endpoint.
-    incident: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-    for key in links:
-        incident[key[0]].append(key)
-        incident[key[1]].append(key)
-    finished: list[Link] = []
-    for key, link in links.items():
-        worst = 0.0
-        for endpoint in key:
-            for other_key in incident[endpoint]:
-                if other_key == key:
-                    continue
-                sep = abs(link.channel - links[other_key].channel)
-                worst = max(worst, interference_factor(sep))
-        finished.append(replace(link, i_factor=worst))
-
+    links = [Link(u, v, channel, cost, BANDWIDTH, delay, jitter, loss,
+                  i_factor, synthetic)
+             for (u, v, channel, cost, delay, jitter, loss, synthetic), i_factor
+             in zip(drawn, _worst_interference([d[:3] for d in drawn]))]
     gateways = _pick_gateways(np.stack([xs, ys], axis=1),
                               params.gateway_count, rng)
-    return MeshTopology(nodes, finished, set(gateways),
+    return MeshTopology(nodes, links, set(gateways),
                         params.transmission_range)

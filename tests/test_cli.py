@@ -51,6 +51,13 @@ class TestGen:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        rc = main(["gen", "--nodes", "25", "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert "rng_seed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("area", [["nan", "1000"], ["inf", "1000"],
                                       ["1000", "nan"]])
     def test_non_finite_area_is_usage_error(self, tmp_path, capsys, area):

@@ -127,10 +127,16 @@ class TestHybridConfig:
         dict(swarm_size=30.0),
         dict(max_iterations=float("nan")),
         dict(stagnation_window=True),
+        # Once ran and reported seed 1.5.
+        dict(rng_seed=1.5),
     ])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
             HybridConfig(**bad)
+
+    def test_negative_seed_accepted(self):
+        # random.Random takes any int.
+        assert HybridConfig(rng_seed=-1).rng_seed == -1
 
 
 class TestRouteContext:

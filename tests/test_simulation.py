@@ -146,6 +146,12 @@ class TestSimulatePath:
         with pytest.raises(ValueError, match="integer"):
             TrafficSpec(packet_count=count)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_non_integer_or_negative_seed_rejected(self, seed):
+        # 1.5 and -1 once failed inside numpy's SeedSequence.
+        with pytest.raises(ValueError, match="seed"):
+            TrafficSpec(10, seed=seed)
+
 
 class TestEvaluateRouting:
     REQ = QosRequest(5.0, 100.0, 100.0, 0.0)

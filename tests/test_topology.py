@@ -4,6 +4,7 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,20 @@ from meshroute import (
 )
 
 from meshroute.cli import default_source
-from meshroute.topology import BANDWIDTH
+from meshroute.topology import (
+    BANDWIDTH,
+    COST_RANGE,
+    DELAY_RANGE,
+    JITTER_RANGE,
+    LOSS_RANGE,
+    NUM_CHANNELS,
+    RADIOS_PER_NODE,
+    Node,
+    _SLACK,
+    _distances,
+    _pick_gateways,
+    _worst_interference,
+)
 
 from conftest import LINK_DEFAULTS, make_topo, source_for
 from test_behaviour_pin import tie_mesh
@@ -55,6 +69,114 @@ def reference_detour(topo, source, target, avoid):
     while path[-1] != source:
         path.append(pred[path[-1]])
     return path[::-1]
+
+
+def reference_generate_topology(params: TopologyParams) -> MeshTopology:
+    """generate_topology as first written: one Generator call per drawn
+    value, each Link built and then rebuilt with its interference, the
+    interference a max over every pair of links sharing an endpoint, and
+    stitching distances recomputed every round."""
+    rng = np.random.default_rng(params.rng_seed)
+    width, height = params.resolved_area()
+    n = params.node_count
+
+    xs = rng.uniform(0.0, width, size=n)
+    ys = rng.uniform(0.0, height, size=n)
+    radios = [tuple(sorted(int(c) for c in
+                           rng.choice(np.arange(1, NUM_CHANNELS + 1),
+                                      size=RADIOS_PER_NODE, replace=False)))
+              for _ in range(n)]
+    nodes = [Node(i, float(xs[i]), float(ys[i]), radios[i]) for i in range(n)]
+
+    def draw_link(u: int, v: int, synthetic: bool) -> Link:
+        shared = set(radios[u]) & set(radios[v])
+        pool = sorted(shared) if shared else sorted(set(radios[u]) | set(radios[v]))
+        channel = int(rng.choice(pool))
+        return Link(
+            u, v, channel,
+            cost=float(rng.uniform(*COST_RANGE)),
+            bandwidth=BANDWIDTH,
+            delay=float(rng.uniform(*DELAY_RANGE)),
+            jitter=float(rng.uniform(*JITTER_RANGE)),
+            loss_prob=float(rng.uniform(*LOSS_RANGE)),
+            synthetic=synthetic,
+        )
+
+    # Every pair within range, in row-major (u, v) order so the RNG draws
+    # follow it.  numpy's distances only shortlist the pairs (with a little
+    # slack for rounding); math.dist decides, as it decides the stitching.
+    links: dict[tuple[int, int], Link] = {}
+    points = list(zip(xs.tolist(), ys.tolist()))
+    reach = params.transmission_range
+    near = np.triu(_distances(xs, ys, xs, ys) <= reach * _SLACK, k=1)
+    for u, v in zip(*np.nonzero(near)):
+        u, v = int(u), int(v)
+        if math.dist(points[u], points[v]) <= reach:
+            links[(u, v)] = draw_link(u, v, synthetic=False)
+
+    # Stitch components until connected: each round links the component of
+    # node 0 to its nearest other node, ties going to the other component
+    # with the lowest node id, then the lowest u, then the lowest v.
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in links:
+        parent[find(u)] = find(v)
+    while True:
+        roots = np.array([find(i) for i in range(n)])
+        in_base = roots == roots[0]
+        if in_base.all():
+            break
+        # Lowest node id of each component, indexed by its root.
+        lowest = np.full(n, n)
+        np.minimum.at(lowest, roots, np.arange(n))
+        base, other = np.flatnonzero(in_base), np.flatnonzero(~in_base)
+        block = _distances(xs[base], ys[base], xs[other], ys[other])
+        rows, cols = np.nonzero(block <= block.min() * _SLACK)
+        _, _, u, v = min((math.dist(points[base[i]], points[other[j]]),
+                          int(lowest[roots[other[j]]]), int(base[i]),
+                          int(other[j]))
+                         for i, j in zip(rows, cols))
+        u, v = min(u, v), max(u, v)
+        links[(u, v)] = draw_link(u, v, synthetic=True)
+        parent[find(u)] = find(v)
+
+    # Worst-case overlap with any link sharing an endpoint.
+    incident: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
+    for key in links:
+        incident[key[0]].append(key)
+        incident[key[1]].append(key)
+    finished: list[Link] = []
+    for key, link in links.items():
+        worst = 0.0
+        for endpoint in key:
+            for other_key in incident[endpoint]:
+                if other_key == key:
+                    continue
+                sep = abs(link.channel - links[other_key].channel)
+                worst = max(worst, interference_factor(sep))
+        finished.append(replace(link, i_factor=worst))
+
+    gateways = _pick_gateways(np.stack([xs, ys], axis=1),
+                              params.gateway_count, rng)
+    return MeshTopology(nodes, finished, set(gateways),
+                        params.transmission_range)
+
+
+def reference_worst_interference(links):
+    """Per (u, v, channel) link, the max interference_factor over every
+    other link sharing an endpoint, 0.0 with none."""
+    worst = []
+    for i, (u, v, channel) in enumerate(links):
+        worst.append(max((interference_factor(abs(channel - c))
+                          for j, (a, b, c) in enumerate(links)
+                          if j != i and {a, b} & {u, v}), default=0.0))
+    return worst
 
 
 class TestInterferenceFactor:
@@ -128,6 +250,19 @@ class TestGeneration:
         with pytest.raises(TopologyError):
             TopologyParams(node_count=5, area=(0.0, 100.0))
 
+    @pytest.mark.parametrize("bad", [
+        # Each once died inside numpy (TypeError or ValueError) or, for the
+        # bool, was taken as seed 1.
+        dict(node_count=25.0),
+        dict(gateway_count=2.0),
+        dict(rng_seed=1.5),
+        dict(rng_seed=-1),
+        dict(rng_seed=True),
+    ])
+    def test_non_integer_or_negative_counts_rejected(self, bad):
+        with pytest.raises(TopologyError):
+            TopologyParams(**{"node_count": 25, **bad})
+
     @pytest.mark.parametrize("reach", [0.0, -250.0, math.nan, math.inf])
     def test_bad_transmission_range_rejected(self, reach):
         with pytest.raises(TopologyError):
@@ -151,6 +286,107 @@ class TestGeneration:
         assert len(links) == 2285
         assert Counter(link.i_factor for link in links) == {
             1.0: 1909, 0.7: 229, 0.4: 74, 0.2: 36, 0.1: 21, 0.0: 16}
+
+
+class TestGeneratorMatchesReference:
+    """generate_topology draws its weights in fewer Generator calls, builds
+    each Link once, takes interference from the smallest channel gap and
+    stitches on the pair scan's distances; every mesh stays the same."""
+
+    @staticmethod
+    def assert_same_mesh(params):
+        got = generate_topology(params).to_json()
+        want = reference_generate_topology(params).to_json()
+        # Compare to one bool: pytest's diff of two long one-line strings
+        # takes minutes.
+        same = got == want
+        if not same:
+            at = next(i for i, (a, b) in enumerate(
+                itertools.zip_longest(got, want)) if a != b)
+            pytest.fail(f"{params}: mesh JSON differs from the reference at "
+                        f"character {at}: {got[at - 60:at + 60]!r} != "
+                        f"{want[at - 60:at + 60]!r}")
+
+    @pytest.mark.parametrize("node_count", [2, 3, 10, 25, 125, 200, 500])
+    def test_default_params(self, node_count):
+        for seed in range(3):
+            self.assert_same_mesh(TopologyParams(
+                node_count, gateway_count=min(3, node_count - 1),
+                rng_seed=seed))
+
+    def test_sparse_area_stitches_many_rounds(self):
+        for seed in range(3):
+            params = TopologyParams(60, area=(8000.0, 8000.0), rng_seed=seed)
+            synthetic = [l for l in generate_topology(params).links
+                         if l.synthetic]
+            assert len(synthetic) >= 20
+            self.assert_same_mesh(params)
+
+    def test_long_range_dense_mesh(self):
+        for seed in range(2):
+            params = TopologyParams(60, transmission_range=5000.0,
+                                    rng_seed=seed)
+            assert len(generate_topology(params).links) == 60 * 59 // 2
+            self.assert_same_mesh(params)
+
+    @pytest.mark.parametrize("node_count", [4, 10, 30])
+    def test_gateways_up_to_all_but_one_node(self, node_count):
+        for count in range(1, node_count):
+            self.assert_same_mesh(TopologyParams(
+                node_count, gateway_count=count, rng_seed=count))
+
+    @pytest.mark.parametrize("area", [(1.0, 1.0), (4000.0, 4000.0)])
+    def test_two_node_mesh(self, area):
+        for seed in range(5):
+            self.assert_same_mesh(TopologyParams(
+                2, area=area, gateway_count=1, rng_seed=seed))
+
+
+class TestGeneratorDraws:
+    @pytest.mark.parametrize("pool_size", [1, 2, 3, 4])
+    def test_integers_index_is_choice(self, pool_size):
+        pool = list(range(5, 5 + pool_size))
+        a, b = np.random.default_rng(pool_size), np.random.default_rng(pool_size)
+        for _ in range(2000):
+            assert int(a.choice(pool)) == pool[int(b.integers(0, pool_size))]
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("pool_size", [1, 2, 3, 4])
+    def test_scaled_random_is_uniform(self, pool_size):
+        # The per-link draw order: a channel, then four weights.
+        ranges = (COST_RANGE, DELAY_RANGE, JITTER_RANGE, LOSS_RANGE)
+        a, b = np.random.default_rng(pool_size), np.random.default_rng(pool_size)
+        for _ in range(2000):
+            a.choice(list(range(pool_size)))
+            b.integers(0, pool_size)
+            one_by_one = [float(a.uniform(lo, hi)) for lo, hi in ranges]
+            at_once = [lo + (hi - lo) * u
+                       for (lo, hi), u in zip(ranges, b.random(4).tolist())]
+            assert one_by_one == at_once
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestWorstInterference:
+    def test_matches_max_over_incident_links(self):
+        rng = random.Random(0)
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            pairs = rng.sample(list(itertools.combinations(range(n), 2)),
+                               rng.randint(1, n * (n - 1) // 2))
+            # Few distinct channels, so many links share one.
+            channels = rng.sample(range(1, NUM_CHANNELS + 1),
+                                  rng.randint(1, 4))
+            links = [(u, v, rng.choice(channels)) for u, v in pairs]
+            assert (_worst_interference(links)
+                    == reference_worst_interference(links))
+
+    def test_lone_links_and_duplicates(self):
+        # 0-1 and 2-3 share no endpoint with any link; 4-5 and 5-6 share
+        # node 5 and a channel; 6-7 is 3 channels from 5-6.
+        links = [(0, 1, 3), (2, 3, 3), (4, 5, 6), (5, 6, 6), (6, 7, 9)]
+        assert _worst_interference(links) == [0.0, 0.0, 1.0, 1.0, 0.2]
+        assert _worst_interference(links) == reference_worst_interference(
+            links)
 
 
 class TestShortestPath:
