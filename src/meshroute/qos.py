@@ -65,7 +65,10 @@ class PenaltyCoeffs:
     clamp_mode: str = "strict"
 
     def __post_init__(self):
-        if min(self.eta1, self.eta2, self.eta3, self.lam) < 0:
+        coeffs = (self.eta1, self.eta2, self.eta3, self.lam)
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError("eta1, eta2, eta3 and lam must be finite")
+        if min(coeffs) < 0:
             raise ValueError("coefficients must be non-negative")
         if self.clamp_mode not in PENALTY_MODES:
             raise ValueError("clamp_mode must be 'strict' or 'fidelity'")

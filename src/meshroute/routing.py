@@ -23,6 +23,12 @@ from .topology import MeshTopology, validate_path
 # Random walk attempts before falling back to the min-cost gateway path.
 WALK_RESTARTS = 50
 
+# Walks dedupe draws again when a replacement repeats a route it has seen.
+DEDUPE_RETRIES = 20
+
+# Search steps per mesh node that walk_outcomes may take before giving up.
+OUTCOME_SEARCH_STEPS = 20
+
 # Share of the ranked swarm carried over unchanged.  ceil(0.1 * N) >= 1 for
 # every swarm_size >= 2, so the incumbent always survives its generation.
 ELITE_FRACTION = 0.1
@@ -123,6 +129,10 @@ class RouteContext:
         # row is read once here rather than looked up node by node.
         self.source_costs = topo.shortest_path_costs(source)
         self._scores: dict[tuple[int, ...], FitnessBreakdown] = {}
+        # walk_outcomes() for this run, searched by dedupe when a
+        # replacement first uses up its retries.
+        self.outcomes: frozenset[tuple[int, ...]] | None = None
+        self.outcomes_searched = False
 
     def fitness(self, path: list[int]) -> FitnessBreakdown:
         """F of ``path``, computed once per distinct node sequence.
@@ -210,11 +220,15 @@ def random_walk_path(ctx: RouteContext, rng: random.Random) -> list[int]:
     """Loop-free random walk from the source to any gateway.
 
     Restarts after a dead end (a walk never revisits a node, so it ends at
-    a gateway or a dead end); falls back to the min-cost path to the
-    nearest gateway after WALK_RESTARTS attempts.
+    a gateway or a dead end), and as soon as it crosses a trap link
+    (``MeshTopology.trap_links``): past one it can only reach a dead end.
+    Such an attempt never succeeds either way, so ending it early leaves
+    each attempt's chance of success, and the route a successful attempt
+    returns, as they were.  Falls back to the min-cost path to the nearest
+    gateway after WALK_RESTARTS attempts.
     """
     source, gateways = ctx.source, ctx.gateways
-    adjacency = ctx.topo.adjacency
+    adjacency, traps = ctx.topo.adjacency, ctx.topo.trap_links
     getrandbits = rng.getrandbits
     for _ in range(WALK_RESTARTS):
         path = [source]
@@ -233,7 +247,10 @@ def random_walk_path(ctx: RouteContext, rng: random.Random) -> list[int]:
             r = getrandbits(k)
             while r >= n:
                 r = getrandbits(k)
-            node = options[r]
+            step = options[r]
+            if step in traps[node]:
+                break
+            node = step
             path.append(node)
             visited[node] = 1
             if node in gateways:
@@ -352,20 +369,75 @@ def mutate(path: list[int], ctx: RouteContext, rng: random.Random,
     return candidate
 
 
+def walk_outcomes(ctx: RouteContext,
+                  limit: int) -> frozenset[tuple[int, ...]] | None:
+    """Every route random_walk_path can return: each simple path from the
+    source that ends at the first gateway it reaches (the fallback route is
+    one of them).
+
+    A depth-first search that skips trap links, which no such path crosses.
+    Returns None once it finds more than ``limit`` routes or takes more
+    than OUTCOME_SEARCH_STEPS steps per mesh node.
+    """
+    source, gateways = ctx.source, ctx.gateways
+    adjacency, traps = ctx.topo.adjacency, ctx.topo.trap_links
+    budget = OUTCOME_SEARCH_STEPS * len(adjacency)
+    routes: set[tuple[int, ...]] = set()
+    path = [source]
+    on_path = bytearray(len(adjacency))
+    on_path[source] = 1
+    todo = [iter(adjacency[source])]
+    while todo:
+        node = path[-1]
+        for v in todo[-1]:
+            if on_path[v] or v in traps[node]:
+                continue
+            budget -= 1
+            if budget < 0:
+                return None
+            if v in gateways:
+                routes.add((*path, v))
+                if len(routes) > limit:
+                    return None
+                continue
+            path.append(v)
+            on_path[v] = 1
+            todo.append(iter(adjacency[v]))
+            break
+        else:
+            todo.pop()
+            on_path[path.pop()] = 0
+    return frozenset(routes)
+
+
 def dedupe(swarm: list[Particle], ctx: RouteContext,
            rng: random.Random) -> list[Particle]:
     """Replace duplicate routes (beyond the first) with fresh random walks,
-    resetting the replacement's personal best; swarm size is preserved."""
+    resetting the replacement's personal best; swarm size is preserved.
+
+    A replacement that repeats a route already kept draws again, up to
+    DEDUPE_RETRIES times, and keeps its last walk.  The first time a
+    replacement uses up its retries, the run searches for every route a
+    walk can return (walk_outcomes, which gives up past one route per
+    particle).  Once all of them are kept, every retry would repeat one, so
+    a replacement keeps its first walk instead: it follows the same law as
+    the last retry would.
+    """
     seen: set[tuple[int, ...]] = set()
     out = []
     for particle in swarm:
         key = tuple(particle.path)
         if key in seen:
             fresh = random_walk_path(ctx, rng)
-            for _ in range(20):
-                if tuple(fresh) not in seen:
-                    break
-                fresh = random_walk_path(ctx, rng)
+            if ctx.outcomes is None or not ctx.outcomes <= seen:
+                for _ in range(DEDUPE_RETRIES):
+                    if tuple(fresh) not in seen:
+                        break
+                    fresh = random_walk_path(ctx, rng)
+                else:
+                    if not ctx.outcomes_searched:
+                        ctx.outcomes = walk_outcomes(ctx, len(swarm))
+                        ctx.outcomes_searched = True
             out.append(_fresh(fresh, ctx))
             seen.add(tuple(fresh))
         else:

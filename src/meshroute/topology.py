@@ -330,6 +330,76 @@ class MeshTopology:
             path.append(pred[path[-1]])
         return path
 
+    @cached_property
+    def trap_links(self) -> tuple[tuple[int, ...], ...]:
+        """Per node ``u``, the neighbours ``v`` such that u->v is a trap
+        link: ``v`` is not a gateway and every path from ``v`` to a gateway
+        passes through ``u`` (vacuously so when none exists).  A walk that
+        never revisits a node and crosses u->v cannot reach a gateway.
+
+        One iterative depth-first search (Hopcroft & Tarjan, 1973) finds
+        them: a child subtree whose low-link does not reach above ``u`` is a
+        component of the mesh without ``u``, and so is the rest of ``u``'s
+        component; a neighbour is trapped when its side holds no gateway.
+        Each node's trap links are a tuple in ``neighbors`` order, the
+        shared empty tuple for most nodes.
+        """
+        adj, gateways = self._adj, self.gateways
+        n = len(adj)
+        disc = [-1] * n    # discovery order
+        low = [0] * n      # least discovery order one back edge reaches
+        end = [0] * n      # one past the last discovery order in the subtree
+        below = [0] * n    # gateways in the subtree
+        parent = [-1] * n
+        root_of = [0] * n
+        order = 0
+        for root in range(n):
+            if disc[root] != -1:
+                continue
+            disc[root] = low[root] = order
+            root_of[root] = root
+            order += 1
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                u, todo = stack[-1]
+                for v in todo:
+                    if disc[v] == -1:
+                        parent[v], root_of[v] = u, root
+                        disc[v] = low[v] = order
+                        order += 1
+                        stack.append((v, iter(adj[v])))
+                        break
+                    # The parent's own link lowers low[u] to disc[parent]
+                    # at most, which leaves the cut test below unchanged.
+                    low[u] = min(low[u], disc[v])
+                else:
+                    stack.pop()
+                    end[u] = order
+                    below[u] += u in gateways
+                    p = parent[u]
+                    if p != -1:
+                        low[p] = min(low[p], low[u])
+                        below[p] += below[u]
+        table: list[tuple[int, ...]] = [()] * n
+        for u in range(n):
+            cut = [c for c in adj[u] if parent[c] == u and low[c] >= disc[u]]
+            # Gateways on u's side of the cut: ancestors and the subtrees
+            # still linked to them.  The root has no such side.
+            rest = (below[root_of[u]] - (u in gateways)
+                    - sum(below[c] for c in cut))
+            trapped = []
+            for v in adj[u]:
+                side = rest
+                for c in cut:
+                    if disc[c] <= disc[v] < end[c]:
+                        side = below[c]
+                        break
+                if not side:
+                    trapped.append(v)
+            if trapped:
+                table[u] = tuple(trapped)
+        return tuple(table)
+
     def shortest_path_cost(self, source: int, target: int) -> float:
         """Minimal sum of link costs, or the UNREACHABLE marker (inf)."""
         if not (self.has_node(source) and self.has_node(target)):

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from meshroute import Link, MeshTopology, Node
@@ -16,6 +18,24 @@ def make_topo(n, edges, gateways, transmission_range=10_000.0):
         attrs = {**LINK_DEFAULTS, **overrides}
         links.append(Link(u, v, **attrs))
     return MeshTopology(nodes, links, set(gateways), transmission_range)
+
+
+def brute_force_trap_links(topo):
+    """Per node u, the neighbours v that a breadth-first search from the
+    gateways in the mesh without u does not reach: trap links u->v."""
+    table = []
+    for u in range(topo.node_count):
+        reached = {g for g in topo.gateways if g != u}
+        queue = deque(reached)
+        while queue:
+            x = queue.popleft()
+            for y in topo.neighbors(x):
+                if y != u and y not in reached:
+                    reached.add(y)
+                    queue.append(y)
+        table.append(tuple(v for v in topo.neighbors(u)
+                           if v not in reached))
+    return tuple(table)
 
 
 def source_for(topo):

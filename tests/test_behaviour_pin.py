@@ -69,6 +69,44 @@ def test_behaviour_hash_unchanged():
     assert digest.hexdigest() == BEHAVIOUR_SHA256
 
 
+# A grid, stated as a rule, where the solvers search: far sources (the
+# 0.75 and 0.95 distance percentiles) on 50- to 200-node meshes, with the
+# interference term live (beta 0.6).  32 of its 54 runs improve after
+# iteration 1, where 3 of the 27 under BEHAVIOUR_SHA256 do.
+SEARCH_SIZES = (50, 125, 200)
+SEARCH_PERCENTILES = (0.75, 0.95)
+SEARCH_REQ = QosRequest(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.6)
+
+# sha256 of search_digest_items().
+SEARCH_SHA256 = (
+    "f5ad0ac1cf92cc7b1fe027e9188b0540c5057456301b543d2d7932e94c3afa3f")
+
+
+def search_digest_items():
+    """Yield every run of the search grid as a JSON string, in a fixed
+    order: size, mesh seed, percentile, algorithm."""
+    for size in SEARCH_SIZES:
+        for seed in SEEDS:
+            topo = generate_topology(TopologyParams(node_count=size,
+                                                    rng_seed=seed))
+            coeffs = PenaltyCoeffs.for_request(SEARCH_REQ, topo)
+            for percentile in SEARCH_PERCENTILES:
+                source = default_source(topo, percentile)
+                for alg in ALGS:
+                    result = run(topo, source, SEARCH_REQ, coeffs,
+                                 HybridConfig(rng_seed=seed, algorithm=alg))
+                    d = {k: v for k, v in result.to_dict().items()
+                         if k not in WALL_FIELDS}
+                    yield json.dumps(d, sort_keys=True)
+
+
+def test_search_grid_hash_unchanged():
+    digest = hashlib.sha256()
+    for item in search_digest_items():
+        digest.update(item.encode())
+    assert digest.hexdigest() == SEARCH_SHA256
+
+
 def tie_mesh(gateways=frozenset({8})):
     """3x3 grid, every link at conftest's default cost 2.0, links inserted
     out of order, so most node pairs have several shortest paths.

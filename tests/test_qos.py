@@ -40,6 +40,15 @@ class TestQosRequest:
             QosRequest(**{**fields, field: value})
 
 
+class TestPenaltyCoeffs:
+    @pytest.mark.parametrize("field", ["eta1", "eta2", "eta3", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        fields = dict(eta1=1.0, eta2=1.0, eta3=1.0, lam=1.0)
+        with pytest.raises(ValueError):
+            PenaltyCoeffs(**{**fields, field: value})
+
+
 class TestPathMetrics:
     def test_two_link_aggregation(self):
         topo = make_topo(3, {

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -17,6 +19,7 @@ from meshroute import (
     crossover_children,
     dedupe,
     elitism_split,
+    enumerate_simple_paths,
     generate_topology,
     init_swarm,
     mutate,
@@ -30,8 +33,10 @@ from meshroute import (
 from meshroute import routing
 from meshroute.cli import default_source
 from meshroute.routing import Particle, remove_loops
+from meshroute.topology import PathExplosionError
 
-from conftest import make_topo, merge_demo_topo, source_for
+from conftest import (brute_force_trap_links, make_topo, merge_demo_topo,
+                      source_for)
 
 
 REQ = QosRequest(bw_req=5.0, d_req=100.0, j_req=100.0, beta=0.0)
@@ -49,10 +54,11 @@ def ctx_for(topo, source):
     return RouteContext(topo, source, REQ, coeffs)
 
 
-def reference_walk(ctx, rng):
-    """The walk as first written, drawing each step with rng.choice; the
-    solver's walk must return the same paths and leave the same RNG
-    state."""
+def reference_walk(ctx, rng, traps):
+    """The walk as first written, drawing each step with rng.choice, plus
+    the rule that an attempt ends when it steps from u to a node in
+    ``traps[u]`` (brute_force_trap_links); the solver's walk must return
+    the same paths and leave the same RNG state."""
     source, gateways = ctx.source, ctx.gateways
     neighbors = ctx.topo.neighbors
     choice = rng.choice
@@ -64,12 +70,37 @@ def reference_walk(ctx, rng):
             options = [v for v in neighbors(node) if v not in visited]
             if not options:
                 break
-            node = choice(options)
+            step = choice(options)
+            if step in traps[node]:
+                break
+            node = step
             path.append(node)
             visited.add(node)
             if node in gateways:
                 return path
     return ctx.topo.gateway_path(source)
+
+
+def reference_dedupe(swarm, ctx, rng):
+    """dedupe as first written, always retrying a repeated route 20 times;
+    the solver's dedupe must give the same routes and RNG state whenever
+    it does not skip the retries."""
+    seen = set()
+    out = []
+    for particle in swarm:
+        key = tuple(particle.path)
+        if key in seen:
+            fresh = routing.random_walk_path(ctx, rng)
+            for _ in range(20):
+                if tuple(fresh) not in seen:
+                    break
+                fresh = routing.random_walk_path(ctx, rng)
+            out.append(routing._fresh(fresh, ctx))
+            seen.add(tuple(fresh))
+        else:
+            seen.add(key)
+            out.append(particle)
+    return out
 
 
 def reference_remove_loops(seq):
@@ -101,14 +132,22 @@ def reference_oplus_update(particle, gbest_path, ctx, config, rng):
     return step, repair_path(step, ctx)
 
 
-def spur_mesh():
+def spur_mesh(loops=()):
     """Chain 0-1-2-3-4-5 to gateway 5, every chain node but the last with
-    dead-end spurs, some two nodes long: about 1 walk in 108 reaches the
-    gateway, and a walk entering 6, 9 or 13 takes a one-option step."""
+    dead-end spurs, some two nodes long: about 1 walk attempt in 108 reaches
+    the gateway, and every step into a spur crosses a trap link.  Each of
+    ``loops`` is one more link, closing a spur into a loop."""
     chain = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
     spurs = [(0, 6), (6, 7), (0, 8), (1, 9), (9, 10), (1, 11), (2, 12),
              (3, 13), (13, 14), (3, 15), (4, 16)]
-    return make_topo(17, {e: {} for e in chain + spurs}, gateways={5})
+    return make_topo(17, {e: {} for e in chain + spurs + list(loops)},
+                     gateways={5})
+
+
+# Closes the two-node spurs at 0, 1 and 3 back onto the chain: a walk
+# entering 6, 9 or 13 from the chain takes a one-option step that crosses
+# no trap link.
+SPUR_LOOPS = ((7, 1), (10, 2), (14, 4))
 
 
 @pytest.fixture
@@ -390,13 +429,75 @@ class TestSwarmMachinery:
         assert [p.path for p in out] == [p.path for p in distinct]
 
 
+class TestDedupe:
+    def test_matches_reference_unless_every_route_is_kept(self):
+        # Each route of a 15-walk swarm twice, from near and far sources.
+        searched = 0
+        for node_count in (25, 125):
+            for mesh_seed in range(3):
+                topo = generate_topology(TopologyParams(node_count=node_count,
+                                                        rng_seed=mesh_seed))
+                for percentile in (0.25, 0.75, 0.95):
+                    source = default_source(topo, percentile)
+                    for seed in range(3):
+                        base = init_swarm(ctx_for(topo, source),
+                                          HybridConfig(swarm_size=15),
+                                          random.Random(seed))
+                        ctx = ctx_for(topo, source)
+                        rng, ref_rng = random.Random(seed), random.Random(seed)
+                        out = dedupe(base + base, ctx, rng)
+                        kept = {tuple(p.path) for p in out}
+                        if ctx.outcomes is not None and ctx.outcomes <= kept:
+                            continue  # the retries were skipped
+                        searched += ctx.outcomes_searched
+                        ref = reference_dedupe(base + base,
+                                               ctx_for(topo, source), ref_rng)
+                        assert [p.path for p in out] == [p.path for p in ref]
+                        assert rng.getstate() == ref_rng.getstate()
+        # Some replacements used up their retries, with routes left unkept.
+        assert searched
+
+    def test_draws_one_walk_per_duplicate_once_every_route_is_kept(
+            self, triangle, monkeypatch):
+        drawn = []
+        original = routing.random_walk_path
+
+        def counting(ctx, rng):
+            drawn.append(1)
+            return original(ctx, rng)
+        monkeypatch.setattr(routing, "random_walk_path", counting)
+        ctx, rng = ctx_for(triangle, 0), random.Random(0)
+        # The only two routes a walk on the triangle can return, kept first,
+        # then four repeats.
+        routes = [[0, 2], [0, 1, 2]] + [[0, 2]] * 4
+        swarm = [routing._fresh(p, ctx) for p in routes]
+        # The first repeat uses up its retries, which has the routes
+        # searched; each later repeat then draws one walk.
+        assert len(dedupe(swarm, ctx, rng)) == 6
+        assert ctx.outcomes == {(0, 2), (0, 1, 2)}
+        assert len(drawn) == (1 + routing.DEDUPE_RETRIES) + 3
+        # The search is kept for the run: every repeat draws one walk.
+        drawn.clear()
+        dedupe(swarm, ctx, rng)
+        assert len(drawn) == 4
+        # While a route is not kept yet, a repeat retries as before.
+        repeat = [routing._fresh([0, 1, 2], ctx)] * 2
+        for seed in range(8):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            out = dedupe(repeat, ctx, rng)
+            assert [p.path for p in out] == [[0, 1, 2], [0, 2]]
+            reference_dedupe(repeat, ctx, ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
+
+
 class TestRandomWalk:
     @staticmethod
     def assert_same_walks(ctx, seed, walks):
+        traps = brute_force_trap_links(ctx.topo)
         new_rng, ref_rng = random.Random(seed), random.Random(seed)
         for _ in range(walks):
             assert (routing.random_walk_path(ctx, new_rng)
-                    == reference_walk(ctx, ref_rng))
+                    == reference_walk(ctx, ref_rng, traps))
         assert new_rng.getstate() == ref_rng.getstate()
 
     @pytest.mark.parametrize("node_count", [25, 125])
@@ -410,9 +511,10 @@ class TestRandomWalk:
                     self.assert_same_walks(ctx, seed, walks=30)
 
     def test_matches_choice_walk_through_restarts_and_one_option_steps(self):
-        ctx = ctx_for(spur_mesh(), 0)
-        for seed in range(20):
-            self.assert_same_walks(ctx, seed, walks=5)
+        for topo in (spur_mesh(), spur_mesh(loops=SPUR_LOOPS)):
+            ctx = ctx_for(topo, 0)
+            for seed in range(20):
+                self.assert_same_walks(ctx, seed, walks=5)
 
     def test_falls_back_to_gateway_path_after_restarts(self, monkeypatch):
         topo = spur_mesh()
@@ -428,8 +530,89 @@ class TestRandomWalk:
         new_rng, ref_rng = random.Random(3), random.Random(3)
         assert routing.random_walk_path(ctx, new_rng) == tree_path
         assert fallbacks == [0]
-        assert reference_walk(ctx, ref_rng) == tree_path
+        assert reference_walk(ctx, ref_rng,
+                              brute_force_trap_links(topo)) == tree_path
         assert new_rng.getstate() == ref_rng.getstate()
+
+    # (nodes, mesh seed, source): sources with 76-184 routes whose walks
+    # end about 40-60 % of their attempts at a trap link.
+    @pytest.mark.parametrize("node_count, mesh_seed, source",
+                             [(50, 2, 17), (50, 0, 8), (50, 4, 10)])
+    def test_trap_rule_keeps_the_route_law(self, node_count, mesh_seed,
+                                           source):
+        topo = generate_topology(TopologyParams(node_count=node_count,
+                                                rng_seed=mesh_seed))
+        ctx = ctx_for(topo, source)
+        no_traps = [()] * node_count
+        # The rule fires: the walks draw less of the stream.
+        rng, ref_rng = random.Random(0), random.Random(0)
+        for _ in range(50):
+            routing.random_walk_path(ctx, rng)
+            reference_walk(ctx, ref_rng, no_traps)
+        assert rng.getstate() != ref_rng.getstate()
+
+        routes = len(enumerate_simple_paths(topo, source, set(topo.gateways),
+                                            max_hops=node_count))
+        walks = 20_000
+        rng, ref_rng = random.Random(1), random.Random(2)
+        new = Counter(tuple(routing.random_walk_path(ctx, rng))
+                      for _ in range(walks))
+        ref = Counter(tuple(reference_walk(ctx, ref_rng, no_traps))
+                      for _ in range(walks))
+        tv = sum(abs(new[r] - ref[r]) for r in new.keys() | ref.keys()) / (
+            2 * walks)
+        # Two samples of one law over `routes` outcomes: the mean TV
+        # distance is at most sqrt(2 * routes / walks) / 2, and one walk
+        # moves it by at most 1 / walks, so (McDiarmid) it exceeds its mean
+        # by t with probability at most exp(-walks * t**2): 1e-9 here.
+        bound = (math.sqrt(2 * routes / walks) / 2
+                 + math.sqrt(math.log(1e9) / walks))
+        assert tv <= bound
+
+
+class TestWalkOutcomes:
+    @pytest.mark.parametrize("node_count", [12, 25])
+    def test_matches_enumeration(self, node_count, monkeypatch):
+        monkeypatch.setattr(routing, "OUTCOME_SEARCH_STEPS", 10**9)
+        compared = 0
+        for mesh_seed in range(5):
+            topo = generate_topology(TopologyParams(node_count=node_count,
+                                                    rng_seed=mesh_seed))
+            for source in range(node_count):
+                if source in topo.gateways:
+                    continue
+                ctx = ctx_for(topo, source)
+                try:
+                    expected = {tuple(p) for p in enumerate_simple_paths(
+                        topo, source, set(topo.gateways),
+                        max_hops=node_count, cap=2000)}
+                except PathExplosionError:
+                    assert routing.walk_outcomes(ctx, 2000) is None
+                    continue
+                assert routing.walk_outcomes(ctx, len(expected)) == expected
+                assert routing.walk_outcomes(ctx, len(expected) - 1) is None
+                compared += 1
+        assert compared >= node_count
+
+    def test_skips_trap_links(self):
+        # 0 - 1 - 2 (gateway), and 1 - 3 into a gateway-free K7 on nodes
+        # 3-9: its 1957 simple paths from 3 would use up the budget of 200
+        # steps, but 1->3 is a trap link.
+        edges = {(0, 1): {}, (1, 2): {}, (1, 3): {}}
+        edges.update({e: {} for e in itertools.combinations(range(3, 10), 2)})
+        ctx = ctx_for(make_topo(10, edges, gateways={2}), 0)
+        assert routing.walk_outcomes(ctx, 1) == {(0, 1, 2)}
+
+    def test_gives_up_past_the_step_budget(self, monkeypatch):
+        # K8 has 1957 simple paths from node 0 to gateway 7, more than the
+        # budget of OUTCOME_SEARCH_STEPS steps per node allows.
+        edges = {(u, v): {} for u, v in itertools.combinations(range(8), 2)}
+        ctx = ctx_for(make_topo(8, edges, gateways={7}), 0)
+        assert routing.OUTCOME_SEARCH_STEPS * 8 < 1957
+        assert routing.walk_outcomes(ctx, 10**6) is None
+        monkeypatch.setattr(routing, "OUTCOME_SEARCH_STEPS", 10**6)
+        assert len(routing.walk_outcomes(ctx, 1957)) == 1957
+        assert routing.walk_outcomes(ctx, 1956) is None
 
 
 class TestUnmovedParticles:

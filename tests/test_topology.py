@@ -38,7 +38,8 @@ from meshroute.topology import (
     _worst_interference,
 )
 
-from conftest import LINK_DEFAULTS, make_topo, source_for
+from conftest import (LINK_DEFAULTS, brute_force_trap_links, make_topo,
+                      source_for)
 from test_behaviour_pin import tie_mesh
 
 
@@ -558,6 +559,38 @@ class TestAdjacency:
                                             gateways={2}).gateway_costs()
         assert UNREACHABLE in make_topo(3, {(0, 1): {}},
                                         gateways={1}).gateway_costs()
+
+
+class TestTrapLinks:
+    @pytest.mark.parametrize("node_count", [12, 25, 50, 125, 500])
+    def test_matches_brute_force_on_generated_meshes(self, node_count):
+        for seed in range(20):
+            topo = generate_topology(TopologyParams(node_count=node_count,
+                                                    rng_seed=seed))
+            assert topo.trap_links == brute_force_trap_links(topo)
+
+    def test_pendant_region_and_island(self):
+        # Gateways 0 and 8.  Node 2 cuts off the gateway-free region 3-4-5,
+        # and 3 cuts off 4-5 (a triangle: no link in it is a bridge); node 1
+        # is a cut node with a gateway on two sides; 6-7 is an island.
+        #
+        #   0 - 1 - 2 - 3 - 4        8 (gateway)
+        #       |       \ /
+        #       8        5           6 - 7
+        topo = make_topo(9, {e: {} for e in [
+            (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (1, 8),
+            (6, 7)]}, gateways={0, 8})
+        traps = topo.trap_links
+        assert traps == brute_force_trap_links(topo)
+        assert traps[1] == (2,) and traps[2] == (3,) and traps[3] == (4, 5)
+        assert traps[6] == (7,) and traps[7] == (6,)
+        assert not any(traps[u] for u in (0, 4, 5, 8))
+
+    def test_nodes_without_traps_share_one_empty_tuple(self):
+        topo = generate_topology(TopologyParams(node_count=125, rng_seed=0))
+        empty = [t for t in topo.trap_links if not t]
+        assert empty and all(t is empty[0] for t in empty)
+        assert topo.trap_links is topo.trap_links
 
 
 class TestLinkValidation:
