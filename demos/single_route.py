@@ -25,7 +25,7 @@ def main() -> None:
     topo = generate_topology(TopologyParams(node_count=125, rng_seed=5))
     source = default_source(topo, percentile=0.95)
     req = QosRequest(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.0)
-    coeffs = PenaltyCoeffs.for_request(req, topo, mode="strict")
+    coeffs = PenaltyCoeffs.for_request(req, topo)
 
     print(f"125-node mesh, gateways {sorted(topo.gateways)}, source {source}")
     print(f"request: bw >= {req.bw_req}, delay <= {req.d_req}, "

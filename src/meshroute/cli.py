@@ -21,7 +21,7 @@ import statistics
 import sys
 from dataclasses import asdict, dataclass, field, replace
 
-from .qos import PENALTY_MODES, PenaltyCoeffs, QosRequest
+from .qos import PenaltyCoeffs, QosRequest
 from .routing import HybridConfig, RunResult, run
 from .simulation import SimResult, TrafficSpec, simulate_path
 from .topology import MeshTopology, TopologyError, TopologyParams, generate_topology
@@ -48,7 +48,6 @@ class ExperimentPlan:
     d_req: float = 10.0
     j_req: float = 2.5
     beta: float = 0.0
-    penalty_mode: str = "strict"
     swarm_size: int = 30
     max_iterations: int = 100
     c1: float = 1.5
@@ -71,8 +70,9 @@ class ExperimentPlan:
         bad = set(self.algorithms) - set(DEFAULT_ALGORITHMS)
         if bad:
             raise ValueError(f"unknown algorithms: {sorted(bad)}")
-        if self.penalty_mode not in PENALTY_MODES:
-            raise ValueError(f"penalty_mode must be one of {PENALTY_MODES}")
+        if (len(set(self.node_sizes)) < len(self.node_sizes)
+                or len(set(self.algorithms)) < len(self.algorithms)):
+            raise ValueError("plan sizes and algorithms must not repeat")
         for size in self.node_sizes:
             TopologyParams(node_count=size)
         self.request()
@@ -140,7 +140,7 @@ def run_cell(size: int, index: int, plan: ExperimentPlan,
     topo = generate_topology(TopologyParams(node_count=size,
                                             rng_seed=topo_seed))
     source = default_source(topo)
-    coeffs = PenaltyCoeffs.for_request(req, topo, mode=plan.penalty_mode)
+    coeffs = PenaltyCoeffs.for_request(req, topo)
     runs = []
     for algorithm in plan.algorithms:
         result = run(topo, source, req, coeffs,
@@ -211,6 +211,8 @@ def write_bench_outputs(runs: list[tuple[list, RunResult, SimResult]],
 
 
 def run_bench(plan: ExperimentPlan, out_dir: str, workers: int = 1) -> None:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     sizes, indices = zip(*[(size, i) for size in plan.node_sizes
                            for i in range(plan.seeds_per_cell)])
     plans = [plan] * len(sizes)
@@ -257,7 +259,7 @@ def cmd_route(args) -> int:
         return 1
     source = args.source if args.source is not None else default_source(topo)
     req = QosRequest(args.bw, args.delay, args.jitter, args.beta)
-    coeffs = PenaltyCoeffs.for_request(req, topo, mode=args.penalty_mode)
+    coeffs = PenaltyCoeffs.for_request(req, topo)
     config = HybridConfig(rng_seed=args.seed, algorithm=args.algorithm)
     result = run(topo, source, req, coeffs, config)
 
@@ -320,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--delay", type=float, default=10.0)
     route.add_argument("--jitter", type=float, default=2.5)
     route.add_argument("--beta", type=float, default=0.0)
-    route.add_argument("--penalty-mode", choices=PENALTY_MODES,
-                       default="strict")
     route.add_argument("--algorithm", choices=DEFAULT_ALGORITHMS,
                        default="hybrid")
     route.add_argument("--seed", type=int, default=0)

@@ -9,7 +9,7 @@ feasible routes is exactly minimizing cost.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .topology import MeshTopology, validate_path, enumerate_simple_paths
 
@@ -17,8 +17,6 @@ from .topology import MeshTopology, validate_path, enumerate_simple_paths
 NO_LINK_BANDWIDTH = math.inf
 
 PENALTY_TERMS = ("bandwidth", "delay", "jitter", "interference")
-
-PENALTY_MODES = ("strict", "fidelity")
 
 
 class InvalidPathError(ValueError):
@@ -48,21 +46,19 @@ class QosRequest:
 class PenaltyCoeffs:
     """Violation normalizers and the penalty weight.
 
-    ``strict`` mode sums unclamped weighted violations.  ``for_request``
-    sets ``lam = 2 * max_link_cost * (N - 1)``, twice the cost bound of any
+    The penalty sums the weighted violations.  ``for_request`` sets
+    ``lam = 2 * max_link_cost * (N - 1)``, twice the cost bound of any
     simple path, so only a violation with p >= 0.5 is sure to outweigh every
     cost saving; a smaller one need not.  For example, for the default
     bench request (bw 5, delay 10, jitter 2.5, beta 0) on the 75-node seed-24
     mesh, the lowest-F route from node 40, ``[40, 38, 37]`` (F = 13.92,
     p = 1.6e-4), is infeasible, while the feasible ``[40, 42, 37]`` costs
-    16.00.  ``fidelity`` mode clamps each term to [0, 1] and averages them,
-    keeping p itself in [0, 1].
+    16.00.
     """
     eta1: float
     eta2: float
     eta3: float
     lam: float = 1.0
-    clamp_mode: str = "strict"
 
     def __post_init__(self):
         coeffs = (self.eta1, self.eta2, self.eta3, self.lam)
@@ -70,23 +66,16 @@ class PenaltyCoeffs:
             raise ValueError("eta1, eta2, eta3 and lam must be finite")
         if min(coeffs) < 0:
             raise ValueError("coefficients must be non-negative")
-        if self.clamp_mode not in PENALTY_MODES:
-            raise ValueError("clamp_mode must be 'strict' or 'fidelity'")
 
     @classmethod
-    def for_request(cls, req: QosRequest, topo: MeshTopology | None = None,
-                    mode: str = "strict") -> "PenaltyCoeffs":
-        """Dimensionless defaults: each eta is 1/bound so terms measure
-        relative violation; strict lam dominates the worst possible path cost."""
+    def for_request(cls, req: QosRequest,
+                    topo: MeshTopology) -> "PenaltyCoeffs":
+        """Dimensionless defaults: each eta is 1/bound, so terms measure
+        relative violation, and lam is twice the cost bound of any simple
+        path on ``topo``.  lam does not dominate every cost difference:
+        only p >= 0.5 is sure to (see the class docstring)."""
         etas = (1.0 / req.bw_req, 1.0 / req.d_req, 1.0 / req.j_req)
-        if mode == "fidelity":
-            lam = 1.0
-        else:
-            if topo is None:
-                raise ValueError("strict mode needs a topology to size lam")
-            max_hops = topo.node_count - 1
-            lam = 2.0 * topo.max_link_cost * max_hops
-        return cls(*etas, lam=lam, clamp_mode=mode)
+        return cls(*etas, lam=2.0 * topo.max_link_cost * (topo.node_count - 1))
 
 
 @dataclass(frozen=True)
@@ -106,9 +95,6 @@ class FitnessBreakdown:
     terms: dict = field(default_factory=dict)
     feasible: bool = False
     valid: bool = True
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def path_metrics(topo: MeshTopology, path: list[int]) -> PathMetrics:
@@ -146,9 +132,6 @@ def penalty(metrics: PathMetrics, req: QosRequest,
         "jitter": coeffs.eta3 * max(metrics.total_jitter - req.j_req, 0.0),
         "interference": max(metrics.interference - (1.0 - req.beta), 0.0),
     }
-    if coeffs.clamp_mode == "fidelity":
-        terms = {k: min(v, 1.0) for k, v in terms.items()}
-        return sum(terms.values()) / len(terms), terms
     return sum(terms.values()), terms
 
 

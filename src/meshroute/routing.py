@@ -282,13 +282,14 @@ def combine_paths(current: list[int], other: list[int], ctx: RouteContext,
     scaled attraction term.
 
     Interior positions (aligned up to the shorter route, endpoints pinned)
-    are each replaced, with probability ``replace_prob``, by the cheaper of
-    the two aligned nodes.  Loops created by replacements are excised.
+    are each replaced, with probability ``replace_prob`` drawn from ``rng``
+    (needed unless ``replace_prob`` >= 1), by the cheaper of the two aligned
+    nodes.  Loops created by replacements are excised.
     """
     out = list(current)
     limit = min(len(current), len(other)) - 1
     for k in range(1, limit):
-        if replace_prob >= 1.0 or (rng is not None and rng.random() < replace_prob):
+        if replace_prob >= 1.0 or rng.random() < replace_prob:
             out[k] = alter(out[k], other[k], ctx)
     return remove_loops(out)
 

@@ -40,14 +40,6 @@ class SimResult:
     delivered_count: int
     packet_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "pdr": self.pdr,
-            "avg_delay_ms": self.avg_delay,
-            "delivered": self.delivered_count,
-            "packets": self.packet_count,
-        }
-
 
 def simulate_path(topo: MeshTopology, path: list[int],
                   traffic: TrafficSpec) -> SimResult:

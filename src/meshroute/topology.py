@@ -217,14 +217,10 @@ class MeshTopology:
     def link(self, u: int, v: int) -> Link | None:
         return self._links.get((u, v) if u < v else (v, u))
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        """Neighbours of ``u`` in ascending id order."""
-        return self._adj[u]
-
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Every node's neighbours, indexed by node id: ``adjacency[u]`` is
-        ``neighbors(u)``, for loops that step through many nodes."""
+        the neighbours of ``u`` in ascending id order."""
         return self._adj
 
     @property
@@ -234,10 +230,6 @@ class MeshTopology:
         insertion order, for loops that check or fetch many hops.  Read it,
         never modify it."""
         return self._link_table
-
-    def adjacent(self, u: int, v: int) -> bool:
-        """True iff a link joins ``u`` and ``v``."""
-        return v in self._link_table[u]
 
     def has_node(self, u: int) -> bool:
         return 0 <= u < len(self.nodes)
@@ -341,7 +333,7 @@ class MeshTopology:
         them: a child subtree whose low-link does not reach above ``u`` is a
         component of the mesh without ``u``, and so is the rest of ``u``'s
         component; a neighbour is trapped when its side holds no gateway.
-        Each node's trap links are a tuple in ``neighbors`` order, the
+        Each node's trap links are a tuple in ``adjacency`` order, the
         shared empty tuple for most nodes.
         """
         adj, gateways = self._adj, self.gateways
@@ -541,7 +533,7 @@ def enumerate_simple_paths(topo: MeshTopology, source: int,
             return
         if len(stack) - 1 >= max_hops:
             return
-        for nxt in topo.neighbors(stack[-1]):
+        for nxt in topo.adjacency[stack[-1]]:
             if nxt in on_path:
                 continue
             stack.append(nxt)

@@ -29,11 +29,11 @@ def brute_force_trap_links(topo):
         queue = deque(reached)
         while queue:
             x = queue.popleft()
-            for y in topo.neighbors(x):
+            for y in topo.adjacency[x]:
                 if y != u and y not in reached:
                     reached.add(y)
                     queue.append(y)
-        table.append(tuple(v for v in topo.neighbors(u)
+        table.append(tuple(v for v in topo.adjacency[u]
                            if v not in reached))
     return tuple(table)
 

@@ -1,0 +1,95 @@
+"""Mutation probe: does Tier-1 kill each listed mutant of the solver?
+
+Each mutant is one small source edit that a test should notice.  For each,
+the probe copies the repository into a temporary directory, applies the
+edit there, runs the test suite minus criterion 4 (a wall-clock check that
+can fail on unchanged code), and prints ``killed`` with the first failing
+test or ``survived``.  The working tree is never modified.
+
+Run from the repository root:  python3 tests/mutation_probe.py
+
+The file name does not match ``test_*.py``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, file, original text, mutated text); the original must occur once.
+MUTANTS = [
+    ("hybrid GA share uses tournament selection",
+     "src/meshroute/routing.py",
+     'tournament=(config.algorithm == "ga")',
+     "tournament=True"),
+    ("mutate detour may pass through a gateway",
+     "src/meshroute/routing.py",
+     "forbidden = (set(path) | set(ctx.gateways)) - {path[k - 1], path[k + 1]}",
+     "forbidden = set(path) - {path[k - 1], path[k + 1]}"),
+    ("simulate_path takes the max of the per-hop jitter draws",
+     "src/meshroute/simulation.py",
+     "jitter_samples.sum(axis=1)",
+     "jitter_samples.max(axis=1)"),
+    ("summary mean_avg_delay_ms is a median",
+     "src/meshroute/cli.py",
+     "statistics.mean(s.avg_delay for s in sims)",
+     "statistics.median(s.avg_delay for s in sims)"),
+    ("_tournament breaks exact ties toward the second pick",
+     "src/meshroute/routing.py",
+     "return a if a.fitness.total <= b.fitness.total else b",
+     "return a if a.fitness.total < b.fitness.total else b"),
+    ("gbest merge reads c1",
+     "src/meshroute/routing.py",
+     "p2 = min(1.0, config.c2 * rng.random())",
+     "p2 = min(1.0, config.c1 * rng.random())"),
+]
+
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
+                                ".hypothesis", "*.egg-info")
+
+
+def apply(copy: Path, rel: str, original: str, mutated: str) -> None:
+    path = copy / rel
+    text = path.read_text()
+    if text.count(original) != 1:
+        raise SystemExit(f"{rel}: expected one occurrence of {original!r}")
+    path.write_text(text.replace(original, mutated))
+
+
+def probe(name: str, rel: str, original: str, mutated: str) -> str:
+    with tempfile.TemporaryDirectory(prefix="meshroute-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        apply(copy, rel, original, mutated)
+        env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+        out = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", "-k", "not criterion_4"],
+            cwd=copy, env=env, capture_output=True, text=True)
+    if out.returncode == 0:
+        return "survived"
+    if out.returncode != 1:
+        return f"error (pytest exit {out.returncode})"
+    failed = [line.split()[1] for line in out.stdout.splitlines()
+              if line.startswith("FAILED ")]
+    return f"killed by {failed[0] if failed else 'a failing test'}"
+
+
+def main() -> int:
+    survivors = 0
+    for name, rel, original, mutated in MUTANTS:
+        verdict = probe(name, rel, original, mutated)
+        survivors += verdict == "survived"
+        print(f"{name}: {verdict}", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,8 +7,9 @@ on one line.
 Shared benchmark protocol (used by criteria 3-5): topologies are generated
 with seed i, the source is the non-gateway node at the 25th percentile of
 distance-to-nearest-gateway (see ``meshroute.cli.default_source``), the
-request is (bw 5.0, delay 10.0, jitter 2.5, beta 0.0) under strict penalty
-coefficients, solver seeds are 100000+i and traffic seeds 200000+i.
+request is (bw 5.0, delay 10.0, jitter 2.5, beta 0.0) under the
+``PenaltyCoeffs.for_request`` coefficients, solver seeds are 100000+i and
+traffic seeds 200000+i.
 
 Criteria 3 and 4 score convergence by attainment: the iteration (or elapsed
 time) at which a run's incumbent first reaches the instance's best-known
@@ -80,7 +81,7 @@ def solve_instance(size: int, i: int, with_sim: bool = False):
     """One benchmark instance solved by all three algorithms."""
     topo = generate_topology(TopologyParams(node_count=size, rng_seed=i))
     source = default_source(topo)
-    coeffs = PenaltyCoeffs.for_request(REQ, topo, mode="strict")
+    coeffs = PenaltyCoeffs.for_request(REQ, topo)
     # Shortest paths are computed per source on first use and cached on the
     # topology, so the first run would pay for the ones all three share.
     # Compute them for every node up front.
@@ -148,7 +149,7 @@ def _walk_pool(topo_seeds, walks_per_topo, walk_seed):
     base_req = QosRequest(5.0, 10.0, 2.5, 0.5)
     for s in topo_seeds:
         topo = generate_topology(TopologyParams(node_count=20, rng_seed=s))
-        coeffs = PenaltyCoeffs.for_request(base_req, topo, mode="strict")
+        coeffs = PenaltyCoeffs.for_request(base_req, topo)
         ctx = RouteContext(topo, default_source(topo), base_req, coeffs)
         rng = random.Random(walk_seed + s)
         for _ in range(walks_per_topo):
@@ -158,7 +159,7 @@ def _walk_pool(topo_seeds, walks_per_topo, walk_seed):
 
 def test_criterion_1_worked_example_regression():
     topo = merge_demo_topo()
-    coeffs = PenaltyCoeffs.for_request(REQ, topo, mode="strict")
+    coeffs = PenaltyCoeffs.for_request(REQ, topo)
     ctx = RouteContext(topo, 1, REQ, coeffs)
     merged = combine_paths([1, 2, 4, 9, 13], [1, 7, 5, 10, 13], ctx,
                            replace_prob=1.0)
@@ -177,7 +178,7 @@ def test_criterion_2_oracle_equivalence():
         n = 10 + i % 5
         topo = generate_topology(TopologyParams(node_count=n, rng_seed=100 + i))
         source = default_source(topo)
-        coeffs = PenaltyCoeffs.for_request(REQ, topo, mode="strict")
+        coeffs = PenaltyCoeffs.for_request(REQ, topo)
         _, best = oracle_best(topo, source, REQ, coeffs)
         for alg in ALGS:
             result = run(topo, source, REQ, coeffs,
@@ -275,26 +276,23 @@ def test_criterion_6_penalty_invariants():
     for topo, path in pairs:
         req = QosRequest(rng.uniform(1.0, 15.0), rng.uniform(1.0, 20.0),
                          rng.uniform(0.5, 10.0), rng.uniform(0.0, 1.0))
-        strict = PenaltyCoeffs.for_request(req, topo, mode="strict")
-        fid = PenaltyCoeffs.for_request(req, mode="fidelity")
+        coeffs = PenaltyCoeffs.for_request(req, topo)
         m = path_metrics(topo, path)
-        p_strict, _ = penalty(m, req, strict)
+        p, _ = penalty(m, req, coeffs)
         holds = (m.min_bw >= req.bw_req and m.total_delay <= req.d_req
                  and m.total_jitter <= req.j_req
                  and m.interference <= 1.0 - req.beta)
-        assert (p_strict == 0.0) == holds, (path, req)
-        p_fid, _ = penalty(m, req, fid)
-        assert 0.0 <= p_fid <= 1.0
+        assert (p == 0.0) == holds, (path, req)
 
         for worse in (replace(m, min_bw=m.min_bw - rng.uniform(0.0, 5.0)),
                       replace(m, total_delay=m.total_delay + rng.uniform(0.0, 5.0)),
                       replace(m, total_jitter=m.total_jitter + rng.uniform(0.0, 5.0)),
                       replace(m, interference=min(1.0, m.interference
                                                   + rng.uniform(0.0, 0.3)))):
-            p_worse, _ = penalty(worse, req, strict)
-            assert p_worse >= p_strict - TOL
+            p_worse, _ = penalty(worse, req, coeffs)
+            assert p_worse >= p - TOL
     verdict(6, True, f"{len(pairs)} random (path, request) pairs: "
-                     "p=0 iff constraints hold, fidelity p in [0,1], "
+                     "p=0 iff constraints hold, "
                      "penalty monotone in every violation")
 
 
@@ -362,7 +360,7 @@ def _strip_wall(d: dict) -> dict:
 def test_criterion_9_determinism(tmp_path, capsys):
     topo = generate_topology(TopologyParams(node_count=30, rng_seed=9))
     source = default_source(topo)
-    coeffs = PenaltyCoeffs.for_request(REQ, topo, mode="strict")
+    coeffs = PenaltyCoeffs.for_request(REQ, topo)
     solver_ok = all(
         _strip_wall(run(topo, source, REQ, coeffs,
                         HybridConfig(rng_seed=9, algorithm=alg)).to_dict())
@@ -370,8 +368,8 @@ def test_criterion_9_determinism(tmp_path, capsys):
                            HybridConfig(rng_seed=9, algorithm=alg)).to_dict())
         for alg in ALGS)
     best = run(topo, source, REQ, coeffs, HybridConfig(rng_seed=9)).best_path
-    sim_ok = (simulate_path(topo, best, TrafficSpec(5000, seed=9)).to_dict()
-              == simulate_path(topo, best, TrafficSpec(5000, seed=9)).to_dict())
+    sim_ok = (simulate_path(topo, best, TrafficSpec(5000, seed=9))
+              == simulate_path(topo, best, TrafficSpec(5000, seed=9)))
 
     gen_a, gen_b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (gen_a, gen_b):

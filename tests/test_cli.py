@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from meshroute import MeshTopology, PenaltyCoeffs, QosRequest, oracle_best
+from meshroute import (FitnessBreakdown, MeshTopology, PenaltyCoeffs,
+                       QosRequest, RunResult, SimResult, oracle_best)
 from meshroute import cli
-from meshroute.cli import ExperimentPlan, default_source, main, run_bench
+from meshroute.cli import (ExperimentPlan, default_source, main, run_bench,
+                           write_bench_outputs)
 
 from conftest import make_topo
 
@@ -223,9 +225,10 @@ class TestBench:
         {"swarm_size": 2.5},
         {"seeds_per_cell": True},
         {"packet_count": 0},
-        {"penalty_mode": "bogus"},
+        {"node_sizes": [12, 12]},
+        {"algorithms": ["hybrid", "hybrid"]},
     ], ids=["unknown-key", "not-an-object", "float-count", "bool-count",
-            "zero-packets", "bad-penalty-mode"])
+            "zero-packets", "repeated-size", "repeated-algorithm"])
     def test_bad_plan_file_rejected_on_load(self, tmp_path, capsys,
                                             monkeypatch, document):
         if isinstance(document, dict):
@@ -240,6 +243,42 @@ class TestBench:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flags", [
+        ["--sizes", "25", "25"],
+        ["--algorithms", "pso", "pso"],
+        ["--workers", "0"],
+        ["--workers", "-3"],
+    ], ids=["repeated-size", "repeated-algorithm", "zero-workers",
+            "negative-workers"])
+    def test_bad_flags_rejected_before_the_sweep(self, tmp_path, capsys,
+                                                 monkeypatch, flags):
+        # Repeats once wrote one instance's rows several times, and summary
+        # cells counted them as seeds; workers below 1 once ran serially.
+        def generate_topology(params):
+            raise AssertionError("a bad plan reached the sweep")
+        monkeypatch.setattr(cli, "generate_topology", generate_topology)
+        rc = main(["bench", "--seeds", "1", *flags,
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_summary_delay_is_the_cell_mean(self, tmp_path):
+        # Delays 1, 2 and 6 ms: the mean is 3, the median 2.
+        fit = FitnessBreakdown(objective=2.0, penalty=0.0, total=2.0,
+                               feasible=True)
+        runs = [([25, "pso", seed],
+                 RunResult(best_path=[0, 1], best_fitness=fit,
+                           fitness_trace=[2.0], incumbent_paths=[[0, 1]],
+                           iterations_executed=1, iterations_to_best=1,
+                           wall_time_ms=0.0, time_to_best_ms=0.0, seed=seed,
+                           algorithm="pso"),
+                 SimResult(pdr=1.0, avg_delay=delay, delivered_count=10,
+                           packet_count=10))
+                for seed, delay in enumerate([1.0, 2.0, 6.0])]
+        write_bench_outputs(runs, str(tmp_path))
+        [row] = read_csv(tmp_path / "summary.csv")
+        assert float(row["mean_avg_delay_ms"]) == 3.0
 
     def test_missing_plan_file_errors(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from meshroute import (
     FitnessBreakdown,
+    HybridConfig,
     InvalidPathError,
     PathMetrics,
     PenaltyCoeffs,
@@ -18,6 +20,7 @@ from meshroute import (
     oracle_best,
     path_metrics,
     penalty,
+    run,
 )
 
 from meshroute.cli import default_source
@@ -27,8 +30,7 @@ from conftest import make_topo, source_for
 
 
 REQ = QosRequest(bw_req=5.0, d_req=10.0, j_req=10.0, beta=0.5)
-STRICT = PenaltyCoeffs(1.0, 1.0, 1.0, lam=10.0, clamp_mode="strict")
-FIDELITY = PenaltyCoeffs(0.2, 0.5, 0.5, lam=1.0, clamp_mode="fidelity")
+STRICT = PenaltyCoeffs(1.0, 1.0, 1.0, lam=10.0)
 
 
 class TestQosRequest:
@@ -95,13 +97,6 @@ class TestPenalty:
         assert p == pytest.approx(2.5)
         assert terms["delay"] == pytest.approx(2.5)
 
-    def test_fidelity_bounded(self):
-        m = PathMetrics(cost=5, min_bw=0.0, total_delay=1e6, total_jitter=1e6,
-                        interference=1.0)
-        p, terms = penalty(m, REQ, FIDELITY)
-        assert 0.0 <= p <= 1.0
-        assert all(0.0 <= v <= 1.0 for v in terms.values())
-
     @settings(max_examples=200)
     @given(min_bw=st.floats(0, 20), delay=st.floats(0, 50),
            jitter=st.floats(0, 50), interference=st.floats(0, 1))
@@ -148,20 +143,20 @@ class TestFitness:
         assert fb.total == fb.objective == math.inf
 
     def test_sentinel_dominates_every_real_path(self):
-        # Fidelity mode: every path of up to 6 hops on a small mesh.
+        # Every path of up to 6 hops on a small mesh.
         topo = generate_topology(TopologyParams(node_count=12, rng_seed=3))
-        coeffs = PenaltyCoeffs.for_request(REQ, topo, mode="fidelity")
+        coeffs = PenaltyCoeffs.for_request(REQ, topo)
         broken = fitness(topo, [0, 0], REQ, coeffs).total
         for p in enumerate_simple_paths(topo, source_for(topo),
                                         set(topo.gateways), 6):
             assert fitness(topo, p, REQ, coeffs).total < broken
 
-        # Strict mode: long random walks on the 125-node bench mesh violate
+        # Long random walks on the 125-node bench mesh violate
         # the bench request by so much that some score above 4 * lam plus
         # the cost bound of any simple path; a broken sequence still loses.
         topo = generate_topology(TopologyParams(node_count=125, rng_seed=0))
         req = QosRequest(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.0)
-        coeffs = PenaltyCoeffs.for_request(req, topo, mode="strict")
+        coeffs = PenaltyCoeffs.for_request(req, topo)
         broken = fitness(topo, [0, 0], req, coeffs).total
         ctx = RouteContext(topo, default_source(topo), req, coeffs)
         rng = random.Random(0)
@@ -172,10 +167,11 @@ class TestFitness:
         assert all(total < broken for total in totals)
 
     def test_breakdown_serializes(self, triangle):
-        fb = fitness(triangle, [0, 2], REQ, STRICT)
-        data = fb.to_dict()
-        assert set(data["terms"]) == {"bandwidth", "delay", "jitter",
-                                      "interference"}
+        result = run(triangle, 0, REQ, STRICT, HybridConfig(rng_seed=0))
+        data = json.loads(json.dumps(result.to_dict()))
+        assert data["best_fitness"]["terms"] == result.best_fitness.terms
+        assert set(data["best_fitness"]["terms"]) == {
+            "bandwidth", "delay", "jitter", "interference"}
 
 
 class TestOracle:

@@ -37,6 +37,7 @@ from meshroute.topology import PathExplosionError
 
 from conftest import (brute_force_trap_links, make_topo, merge_demo_topo,
                       source_for)
+from test_behaviour_pin import tie_mesh
 
 
 REQ = QosRequest(bw_req=5.0, d_req=100.0, j_req=100.0, beta=0.0)
@@ -60,14 +61,14 @@ def reference_walk(ctx, rng, traps):
     ``traps[u]`` (brute_force_trap_links); the solver's walk must return
     the same paths and leave the same RNG state."""
     source, gateways = ctx.source, ctx.gateways
-    neighbors = ctx.topo.neighbors
+    adjacency = ctx.topo.adjacency
     choice = rng.choice
     for _ in range(routing.WALK_RESTARTS):
         path = [source]
         visited = {source}
         node = source
         while True:
-            options = [v for v in neighbors(node) if v not in visited]
+            options = [v for v in adjacency[node] if v not in visited]
             if not options:
                 break
             step = choice(options)
@@ -225,6 +226,25 @@ class TestCombine:
                            random.Random(0))
         assert out == [1, 2, 4, 9, 13]
 
+    def test_gbest_merge_uses_c2(self, demo_ctx):
+        # c1 = 0 leaves the pbest merge idle, so every move comes from the
+        # gbest merge, at strength c2.
+        config = HybridConfig(c1=0.0, c2=2.0)
+        path, pbest = [1, 2, 4, 9, 13], [1, 7, 5, 10, 13]
+        particle = Particle(path, demo_ctx.fitness(path),
+                            pbest, demo_ctx.fitness(pbest))
+        moved = 0
+        for seed in range(20):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            out = oplus_update(particle, [1, 7, 5, 9, 13], demo_ctx, config,
+                               rng)
+            _, expected = reference_oplus_update(
+                particle, [1, 7, 5, 9, 13], demo_ctx, config, ref_rng)
+            assert out == expected
+            assert rng.getstate() == ref_rng.getstate()
+            moved += out != path
+        assert moved
+
     def test_loop_excision(self):
         assert remove_loops([1, 2, 3, 2, 5]) == [1, 2, 5]
         assert remove_loops([1, 2, 1, 3, 1, 4]) == [1, 4]
@@ -348,6 +368,22 @@ class TestMutate:
             if out != [0, 1, 2, 3]:
                 mutated = out
         assert mutated == [0, 1, 4, 3]
+
+
+class TestTournament:
+    def test_exact_tie_keeps_the_first_pick(self):
+        # Routes 3-4-5-8 and 3-4-7-8 of tie_mesh score the same F.
+        ctx = ctx_for(tie_mesh(), source=3)
+        pool = [routing._fresh([3, 4, 5, 8], ctx),
+                routing._fresh([3, 4, 7, 8], ctx)]
+        assert pool[0].fitness.total == pool[1].fitness.total
+        split = 0
+        for seed in range(10):
+            picks = random.Random(seed)
+            first, second = picks.choice(pool), picks.choice(pool)
+            assert routing._tournament(pool, random.Random(seed)) is first
+            split += first is not second
+        assert split
 
 
 class TestSwarmMachinery:

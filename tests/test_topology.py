@@ -544,14 +544,13 @@ class TestAdjacency:
     def test_neighbors_sorted_tuple(self):
         from conftest import merge_demo_topo
         topo = merge_demo_topo()
-        assert topo.neighbors(5) == (7, 9, 10)
-        assert topo.neighbors(0) == ()
+        assert topo.adjacency[5] == (7, 9, 10)
+        assert topo.adjacency[0] == ()
 
     def test_adjacent_matches_links(self):
         topo = generate_topology(TopologyParams(node_count=25, rng_seed=2))
         for u, v in itertools.permutations(range(topo.node_count), 2):
-            assert topo.adjacent(u, v) == (topo.link(u, v) is not None)
-            assert topo.adjacent(u, v) == (v in topo.neighbors(u))
+            assert (v in topo.adjacency[u]) == (topo.link(u, v) is not None)
             assert topo.link_table[u].get(v) is topo.link(u, v)
 
     def test_connectivity(self):
