@@ -50,17 +50,11 @@ class ExperimentPlan:
     beta: float = 0.0
     swarm_size: int = 30
     max_iterations: int = 100
-    c1: float = 1.5
-    c2: float = 1.5
-    breed_ratio: float = 0.5
-    mutation_rate: float = 0.05
-    stagnation_window: int = 15
     packet_count: int = 10_000
 
     def __post_init__(self):
         counts = [*self.node_sizes, self.seeds_per_cell, self.base_seed,
-                  self.swarm_size, self.max_iterations, self.stagnation_window,
-                  self.packet_count]
+                  self.swarm_size, self.max_iterations, self.packet_count]
         if not all(type(c) is int for c in counts):  # no bools, no floats
             raise ValueError("plan sizes, seeds and counts must be integers")
         if (not self.node_sizes or not self.algorithms
@@ -86,9 +80,6 @@ class ExperimentPlan:
         """The solver settings of instance ``index``, for every algorithm."""
         return HybridConfig(
             swarm_size=self.swarm_size, max_iterations=self.max_iterations,
-            c1=self.c1, c2=self.c2, breed_ratio=self.breed_ratio,
-            mutation_rate=self.mutation_rate,
-            stagnation_window=self.stagnation_window,
             rng_seed=self.base_seed + 100_000 + index)
 
     def traffic(self, index: int) -> TrafficSpec:

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .routing import ELITE_FRACTION
+# The generation structure is the route solver's: its elite share, PSO share
+# and mutation chance are used here too.
+from .routing import BREED_RATIO, ELITE_FRACTION, MUTATION_RATE
 
-# The generation structure is fixed, as in the route solver, whose
-# ELITE_FRACTION sets the elite share here too.
-BREED_RATIO = 0.5
 PHI1 = PHI2 = 0.5
-MUTATION_RATE = 0.05
 MUTATION_SIGMA_FRAC = 0.01
 
 
@@ -40,10 +38,18 @@ class ContinuousConfig:
         if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi
                    for lo, hi in self.bounds):
             raise ValueError("each bound must be finite with lo < hi")
+        counts = (self.swarm_size, self.iterations, self.rng_seed)
+        if not all(type(c) is int for c in counts):  # no bools, no floats
+            raise ValueError(
+                "swarm_size, iterations and rng_seed must be integers")
+        if not all(map(math.isfinite, (self.w, self.c1, self.c2))):
+            raise ValueError("w, c1 and c2 must be finite")
         if self.swarm_size < 1:
             raise ValueError("swarm_size must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.rng_seed < 0:  # numpy seeds take no negative ints
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass

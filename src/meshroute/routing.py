@@ -29,9 +29,16 @@ DEDUPE_RETRIES = 20
 # Search steps per mesh node that walk_outcomes may take before giving up.
 OUTCOME_SEARCH_STEPS = 20
 
-# Share of the ranked swarm carried over unchanged.  ceil(0.1 * N) >= 1 for
-# every swarm_size >= 2, so the incumbent always survives its generation.
+# The hybrid's generation structure: the ranked swarm's elite share, carried
+# over unchanged (ceil(0.1 * N) >= 1 for every swarm_size >= 2, so the
+# incumbent always survives), the PSO share of the rest (crossover takes the
+# remainder) and a GA child's chance of mutation.
 ELITE_FRACTION = 0.1
+BREED_RATIO = 0.5
+MUTATION_RATE = 0.05
+
+# Iterations without a strictly lower F after which a run stops.
+STAGNATION_WINDOW = 15
 
 
 class UnreachableGatewayError(ValueError):
@@ -44,32 +51,21 @@ class HybridConfig:
     max_iterations: int = 100
     c1: float = 1.5
     c2: float = 1.5
-    breed_ratio: float = 0.5
-    mutation_rate: float = 0.05
-    stagnation_window: int = 15
     rng_seed: int = 0
     algorithm: str = "hybrid"
 
     def __post_init__(self):
         # Any int seeds random.Random, negative ones too.
-        counts = (self.swarm_size, self.max_iterations, self.stagnation_window,
-                  self.rng_seed)
+        counts = (self.swarm_size, self.max_iterations, self.rng_seed)
         if not all(type(c) is int for c in counts):  # no bools, no floats
             raise ValueError(
-                "swarm_size, max_iterations, stagnation_window and rng_seed "
-                "must be integers")
+                "swarm_size, max_iterations and rng_seed must be integers")
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not (0.0 <= self.c1 <= 2.0 and 0.0 <= self.c2 <= 2.0):
             raise ValueError("c1 and c2 must lie in [0, 2]")
-        if not 0.0 <= self.breed_ratio <= 1.0:
-            raise ValueError("breed_ratio outside [0, 1]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate outside [0, 1]")
-        if self.stagnation_window < 1:
-            raise ValueError("stagnation_window must be >= 1")
         if self.algorithm not in ("pso", "ga", "hybrid"):
             raise ValueError("algorithm must be pso, ga or hybrid")
 
@@ -113,10 +109,12 @@ class RouteContext:
 
     def __init__(self, topo: MeshTopology, source: int,
                  req: QosRequest, coeffs: PenaltyCoeffs):
-        if not topo.has_node(source):
+        # Node ids are those validate_path accepts: no bools, no floats.  A
+        # numpy integer becomes an int, so routes serialize as JSON.
+        if not validate_path(topo, [source], require_gateway=False):
             raise ValueError("unknown source node")
         self.topo = topo
-        self.source = source
+        self.source = source = int(source)
         self.req = req
         self.coeffs = coeffs
         self.gateways = topo.gateways
@@ -486,8 +484,7 @@ def _child(path: list[int], parent: Particle, ctx: RouteContext) -> Particle:
 
 
 def _ga_offspring(parents: list[Particle], ctx: RouteContext,
-                  config: HybridConfig, rng: random.Random,
-                  tournament: bool) -> list[Particle]:
+                  rng: random.Random, tournament: bool) -> list[Particle]:
     """Crossover + mutation producing one child per parent; with
     `tournament` each mate is drawn from `parents` by binary tournament,
     otherwise the parents are paired off in a random order."""
@@ -502,11 +499,11 @@ def _ga_offspring(parents: list[Particle], ctx: RouteContext,
     for _ in range(len(parents) // 2):
         pa, pb = pick(), pick()
         c1, c2 = two_point_crossover(pa.path, pb.path, ctx, rng)
-        out.append(_child(mutate(c1, ctx, rng, config.mutation_rate), pa, ctx))
-        out.append(_child(mutate(c2, ctx, rng, config.mutation_rate), pb, ctx))
+        out.append(_child(mutate(c1, ctx, rng, MUTATION_RATE), pa, ctx))
+        out.append(_child(mutate(c2, ctx, rng, MUTATION_RATE), pb, ctx))
     if len(parents) % 2:
         pa = pick()
-        out.append(_child(mutate(pa.path, ctx, rng, config.mutation_rate), pa, ctx))
+        out.append(_child(mutate(pa.path, ctx, rng, MUTATION_RATE), pa, ctx))
     return out
 
 
@@ -523,7 +520,7 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
     routes.  The previous head is an elite and enters dedupe first, so the
     incumbent never gets worse, and exact-F ties go to the lower route, as
     in `oracle_best`.  Each particle settles its personal best when it is
-    made.  Stops at the iteration cap or after `stagnation_window`
+    made.  Stops at the iteration cap or after STAGNATION_WINDOW
     iterations without a strictly lower F.  Deterministic for a fixed seed,
     wall time aside.
     """
@@ -531,8 +528,7 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
     rng = random.Random(config.rng_seed)
     # Pure PSO sends every non-elite particle to the merge, pure GA every
     # one to crossover.
-    breed_ratio = {"pso": 1.0, "ga": 0.0}.get(config.algorithm,
-                                              config.breed_ratio)
+    breed_ratio = {"pso": 1.0, "ga": 0.0}.get(config.algorithm, BREED_RATIO)
     t0 = time.perf_counter()
     swarm = init_swarm(ctx, config, rng)
 
@@ -550,7 +546,7 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
         incumbents.append(list(best.path))
         iter_times.append((time.perf_counter() - t0) * 1000.0)
 
-        if t == config.max_iterations or t - last_improve >= config.stagnation_window:
+        if t == config.max_iterations or t - last_improve >= STAGNATION_WINDOW:
             break
 
         elite, pso_set, ga_set = elitism_split(ranked, breed_ratio, rng)
@@ -559,7 +555,7 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
             new_path = oplus_update(p, best.path, ctx, config, rng)
             next_gen.append(_child(new_path, p, ctx))
         if ga_set:
-            next_gen.extend(_ga_offspring(ga_set, ctx, config, rng,
+            next_gen.extend(_ga_offspring(ga_set, ctx, rng,
                                           tournament=(config.algorithm == "ga")))
         swarm = dedupe(next_gen, ctx, rng)
 

@@ -74,10 +74,15 @@ class Node:
     radios: tuple[int, ...]
 
     def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise TopologyError(f"node {self.id} has a non-finite position")
         if not self.radios:
             raise TopologyError(f"node {self.id} has no radios")
-        if any(c < 1 or c > NUM_CHANNELS for c in self.radios):
-            raise TopologyError(f"node {self.id} has channels outside 1..{NUM_CHANNELS}")
+        if any(type(c) is not int or not 1 <= c <= NUM_CHANNELS
+               for c in self.radios):
+            raise TopologyError(
+                f"node {self.id} has channels that are not integers in "
+                f"1..{NUM_CHANNELS}")
 
 
 @dataclass(frozen=True)
@@ -96,9 +101,9 @@ class Link:
     def __post_init__(self):
         if self.u == self.v:
             raise TopologyError("self-loop link")
-        if not 1 <= self.channel <= NUM_CHANNELS:
-            raise TopologyError(
-                f"link {self.u}-{self.v} channel outside 1..{NUM_CHANNELS}")
+        if type(self.channel) is not int or not 1 <= self.channel <= NUM_CHANNELS:
+            raise TopologyError(f"link {self.u}-{self.v} channel is not an "
+                                f"integer in 1..{NUM_CHANNELS}")
         if not all(map(math.isfinite, (self.cost, self.bandwidth, self.delay,
                                        self.jitter, self.loss_prob,
                                        self.i_factor))):
@@ -163,9 +168,9 @@ class MeshTopology:
     Construction checks that node ids, link endpoints and gateways are
     plain ints (True == 1 would pass every other check), that node ids are
     dense from 0, that every link joins two known nodes and appears once,
-    and that the gateway set is a non-empty set of nodes.  It does not
-    check connectivity: see gateway_costs().  The instance is then safe to
-    share across threads.
+    that the gateway set is a non-empty set of nodes, and that the range is
+    a finite positive number.  It does not check connectivity: see
+    gateway_costs().  The instance is then safe to share across threads.
     """
 
     def __init__(self, nodes: list[Node], links: list[Link],
@@ -189,6 +194,9 @@ class MeshTopology:
             raise TopologyError("gateway set is empty")
         if not self.gateways <= {n.id for n in self.nodes}:
             raise TopologyError("gateways must be topology nodes")
+        if not (isinstance(transmission_range, (int, float))
+                and math.isfinite(transmission_range) and transmission_range > 0):
+            raise TopologyError("range must be finite and positive")
         self.transmission_range = float(transmission_range)
         # Dijkstra relaxes neighbours in link insertion order, which fixes
         # how equal-cost ties break; everything else reads the sorted tuples
@@ -329,35 +337,35 @@ class MeshTopology:
         passes through ``u`` (vacuously so when none exists).  A walk that
         never revisits a node and crosses u->v cannot reach a gateway.
 
-        One iterative depth-first search (Hopcroft & Tarjan, 1973) finds
-        them: a child subtree whose low-link does not reach above ``u`` is a
-        component of the mesh without ``u``, and so is the rest of ``u``'s
-        component; a neighbour is trapped when its side holds no gateway.
-        Each node's trap links are a tuple in ``adjacency`` order, the
-        shared empty tuple for most nodes.
+        The cut-vertex test of Hopcroft & Tarjan (1973) on the mesh plus a
+        virtual root linked to every gateway finds them: u->v is a trap
+        exactly when ``v`` lies in the subtree of a child ``c`` of ``u`` with
+        ``low[c] >= disc[u]``.  A node no search reaches has no gateway in its
+        component, so all its links are traps.  Each node's trap links are a
+        tuple in ``adjacency`` order, the shared empty tuple for most nodes.
         """
         adj, gateways = self._adj, self.gateways
         n = len(adj)
-        disc = [-1] * n    # discovery order
+        # One search from each gateway not yet reached, in ascending id order,
+        # as a child of the root.  Discovery order counts from 1, so 0 is the
+        # root's order and marks a node no search has reached.
+        disc = [0] * n
         low = [0] * n      # least discovery order one back edge reaches
         end = [0] * n      # one past the last discovery order in the subtree
-        below = [0] * n    # gateways in the subtree
-        parent = [-1] * n
-        root_of = [0] * n
-        order = 0
-        for root in range(n):
-            if disc[root] != -1:
+        cuts: dict[int, list[int]] = {}   # children cut off by their parent
+        order = 1
+        for root in sorted(gateways):
+            if disc[root]:
                 continue
-            disc[root] = low[root] = order
-            root_of[root] = root
+            disc[root] = order  # low stays 0: a gateway links to the root
             order += 1
             stack = [(root, iter(adj[root]))]
             while stack:
                 u, todo = stack[-1]
                 for v in todo:
-                    if disc[v] == -1:
-                        parent[v], root_of[v] = u, root
-                        disc[v] = low[v] = order
+                    if not disc[v]:
+                        disc[v] = order
+                        low[v] = 0 if v in gateways else order
                         order += 1
                         stack.append((v, iter(adj[v])))
                         break
@@ -367,29 +375,15 @@ class MeshTopology:
                 else:
                     stack.pop()
                     end[u] = order
-                    below[u] += u in gateways
-                    p = parent[u]
-                    if p != -1:
+                    if stack:
+                        p = stack[-1][0]
                         low[p] = min(low[p], low[u])
-                        below[p] += below[u]
-        table: list[tuple[int, ...]] = [()] * n
-        for u in range(n):
-            cut = [c for c in adj[u] if parent[c] == u and low[c] >= disc[u]]
-            # Gateways on u's side of the cut: ancestors and the subtrees
-            # still linked to them.  The root has no such side.
-            rest = (below[root_of[u]] - (u in gateways)
-                    - sum(below[c] for c in cut))
-            trapped = []
-            for v in adj[u]:
-                side = rest
-                for c in cut:
-                    if disc[c] <= disc[v] < end[c]:
-                        side = below[c]
-                        break
-                if not side:
-                    trapped.append(v)
-            if trapped:
-                table[u] = tuple(trapped)
+                        if low[u] >= disc[p]:
+                            cuts.setdefault(p, []).append(u)
+        table = [() if disc[u] else adj[u] for u in range(n)]
+        for u, children in cuts.items():
+            table[u] = tuple(v for v in adj[u] if any(
+                disc[c] <= disc[v] < end[c] for c in children))
         return tuple(table)
 
     def shortest_path_cost(self, source: int, target: int) -> float:
@@ -477,9 +471,14 @@ def validate_path(topo: MeshTopology, path: list[int],
     """True iff ``path`` is a non-empty simple walk along existing links.
 
     With ``require_gateway`` the last node must additionally be a gateway.
-    Never raises: malformed input simply yields False.
+    Never raises: malformed input simply yields False.  Any sequence is
+    judged as the list of its items, so an integer array as its list.
     """
-    if not path:
+    try:
+        if not len(path):
+            return False
+        rest = path[1:]
+    except (TypeError, KeyError):  # not a sequence; a dict gives KeyError
         return False
     n = topo.node_count
     for u in path:
@@ -493,7 +492,7 @@ def validate_path(topo: MeshTopology, path: list[int],
     if len(set(path)) != len(path):
         return False
     table = topo.link_table
-    for u, v in zip(path, path[1:]):
+    for u, v in zip(path, rest):
         if v not in table[u]:
             return False
     if require_gateway and path[-1] not in topo.gateways:

@@ -48,6 +48,18 @@ MUTANTS = [
      "src/meshroute/routing.py",
      "p2 = min(1.0, config.c2 * rng.random())",
      "p2 = min(1.0, config.c1 * rng.random())"),
+    ("trap cut test is strict",
+     "src/meshroute/topology.py",
+     "if low[u] >= disc[p]:",
+     "if low[u] > disc[p]:"),
+    ("a gateway's low-link is its discovery order, not the root's",
+     "src/meshroute/topology.py",
+     "low[v] = 0 if v in gateways else order",
+     "low[v] = order"),
+    ("a run stops one stagnant iteration late",
+     "src/meshroute/routing.py",
+     "t - last_improve >= STAGNATION_WINDOW",
+     "t - last_improve > STAGNATION_WINDOW"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

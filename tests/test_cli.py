@@ -144,6 +144,18 @@ class TestRoute:
         assert main(["route", str(path), "--source", "0"]) == 1
         assert "error: cannot load" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("range", "abc"), ("range", -1),
+                                              ("x", "abc")])
+    def test_malformed_number_errors(self, tmp_path, capsys, field, value):
+        # "range" "abc" once escaped as a plain ValueError (exit 2); the
+        # others loaded and ran.
+        doc = make_topo(3, {(0, 1): {}, (1, 2): {}}, gateways={2}).to_dict()
+        {"range": doc, "x": doc["nodes"][1]}[field][field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["route", str(path), "--source", "0"]) == 1
+        assert "error: cannot load" in capsys.readouterr().err
+
     def test_bool_node_id_errors(self, tmp_path, capsys):
         # True == 1, so node {"id": true} used to load as node 1 and the
         # route came out as 0-True-2 with fitness inf.

@@ -34,8 +34,17 @@ class TestConfig:
         dict(bounds=[(-math.inf, 0.0)]),
         dict(bounds=[(-1.0, 1.0)], swarm_size=0),
         dict(bounds=[(-1.0, 1.0)], iterations=0),
+        # These failed inside numpy, or ran and returned a value.
+        dict(bounds=[(-1.0, 1.0)], swarm_size=2.0),
+        dict(bounds=[(-1.0, 1.0)], iterations=True),
+        dict(bounds=[(-1.0, 1.0)], rng_seed=-1),
+        dict(bounds=[(-1.0, 1.0)], rng_seed=1.5),
+        dict(bounds=[(-1.0, 1.0)], w=math.nan),
+        dict(bounds=[(-1.0, 1.0)], c1=math.inf),
+        dict(bounds=[(-1.0, 1.0)], c2=-math.inf),
     ], ids=["empty", "lo-equals-hi", "nan", "inf", "minus-inf",
-            "no-particles", "no-iterations"])
+            "no-particles", "no-iterations", "float-swarm", "bool-iterations",
+            "negative-seed", "float-seed", "nan-w", "inf-c1", "minus-inf-c2"])
     def test_unrunnable_config_rejected(self, kw):
         with pytest.raises(ValueError):
             ContinuousConfig(**kw)

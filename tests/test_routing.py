@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 import random
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -157,19 +159,15 @@ def demo_ctx():
 
 
 class TestHybridConfig:
+    # Ids are fixed so each case keeps its name when cases are removed.
     @pytest.mark.parametrize("bad", [
-        dict(breed_ratio=-0.1),
-        dict(breed_ratio=1.5),
-        dict(stagnation_window=0),
-        dict(stagnation_window=-3),
         # Counts must be plain ints: these once passed the range checks and
         # then failed inside range().
         dict(swarm_size=30.0),
         dict(max_iterations=float("nan")),
-        dict(stagnation_window=True),
         # Once ran and reported seed 1.5.
         dict(rng_seed=1.5),
-    ])
+    ], ids=["bad4", "bad5", "bad7"])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
             HybridConfig(**bad)
@@ -186,6 +184,25 @@ class TestRouteContext:
         with pytest.raises(ValueError, match="source is a gateway"):
             run(line3, 2, REQ, PenaltyCoeffs.for_request(REQ, line3),
                 HybridConfig())
+
+    @pytest.mark.parametrize("source", [True, 2.0, 2.5, "2", None],
+                             ids=["bool", "float", "fraction", "str", "none"])
+    def test_source_that_is_no_node_id_rejected(self, source):
+        # True once ran and returned [True, 2, 13, ...] with F = inf; 2.0
+        # died with TypeError inside the walk.
+        topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
+        with pytest.raises(ValueError, match="unknown source node"):
+            run(topo, source, REQ, PenaltyCoeffs.for_request(REQ, topo),
+                HybridConfig(max_iterations=2))
+
+    def test_numpy_integer_source_accepted(self):
+        # Its routes once began with an np.int64, which json cannot write.
+        topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
+        coeffs = PenaltyCoeffs.for_request(REQ, topo)
+        config = HybridConfig(max_iterations=5)
+        result = without_wall_times(run(topo, np.int64(1), REQ, coeffs, config))
+        assert result == without_wall_times(run(topo, 1, REQ, coeffs, config))
+        assert json.loads(json.dumps(result)) == result
 
 
 class TestAlter:

@@ -8,17 +8,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshroute import (
+    InvalidPathError,
     Link,
     MeshTopology,
     PathExplosionError,
+    PenaltyCoeffs,
+    QosRequest,
     TopologyError,
     TopologyParams,
+    TrafficSpec,
     UNREACHABLE,
     enumerate_simple_paths,
+    fitness,
     generate_topology,
     interference_factor,
+    simulate_path,
     validate_path,
 )
 
@@ -585,6 +592,19 @@ class TestTrapLinks:
         assert traps[6] == (7,) and traps[7] == (6,)
         assert not any(traps[u] for u in (0, 4, 5, 8))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_on_any_graph(self, data):
+        # Generated meshes are stitched into one component; these graphs
+        # may have islands, gateways anywhere and gateway-free components.
+        n = data.draw(st.integers(2, 14), label="nodes")
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs)), label="links")
+        gateways = data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                     max_size=min(3, n)), label="gateways")
+        topo = make_topo(n, {e: {} for e in edges}, gateways)
+        assert topo.trap_links == brute_force_trap_links(topo)
+
     def test_nodes_without_traps_share_one_empty_tuple(self):
         topo = generate_topology(TopologyParams(node_count=125, rng_seed=0))
         empty = [t for t in topo.trap_links if not t]
@@ -613,14 +633,24 @@ class TestLinkValidation:
                                               ("delay", math.inf), ("u", -1),
                                               ("v", -1), ("v", True),
                                               ("id", True),
-                                              ("gateways", [True, 2])])
+                                              ("gateways", [True, 2]),
+                                              # These loaded, or "range"
+                                              # "abc" escaped as ValueError.
+                                              ("x", "abc"), ("x", math.nan),
+                                              ("y", math.inf),
+                                              ("radios", [1, 1.5]),
+                                              ("range", -1), ("range", 0),
+                                              ("range", "abc"),
+                                              ("range", math.nan),
+                                              ("channel", 1.5)])
     def test_rejected_when_loaded(self, field, value):
-        # Link fields edit the first link; "id" edits node 1.  True == 1,
-        # so a bool passes every range check unless it is rejected as such.
+        # Link fields edit the first link; node fields edit node 1.  True ==
+        # 1, so a bool passes every range check unless it is rejected as such.
         doc = generate_topology(TopologyParams(node_count=10,
                                                rng_seed=1)).to_dict()
-        target = {"id": doc["nodes"][1], "gateways": doc}.get(
-            field, doc["links"][0])
+        node = doc["nodes"][1]
+        target = {"id": node, "x": node, "y": node, "radios": node,
+                  "gateways": doc, "range": doc}.get(field, doc["links"][0])
         target[field] = value
         with pytest.raises(TopologyError):
             MeshTopology.from_json(json.dumps(doc))
@@ -708,6 +738,20 @@ class TestValidatePath:
         assert validate_path(topo, [int(u) for u in path])
         assert not validate_path(topo, path)
 
+    @pytest.mark.parametrize("path", [5, None, 2.5, {24, 8}, "24", object()],
+                             ids=["int", "none", "float", "set", "str",
+                                  "object"])
+    def test_non_sequence_invalid(self, path):
+        # validate_path(topo, 5) once raised TypeError, so fitness raised
+        # where it promises inf, and simulate_path raised that TypeError.
+        topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
+        assert validate_path(topo, path, require_gateway=False) is False
+        req = QosRequest(5.0, 10.0, 2.5)
+        coeffs = PenaltyCoeffs.for_request(req, topo)
+        assert fitness(topo, path, req, coeffs).total == math.inf
+        with pytest.raises(InvalidPathError):
+            simulate_path(topo, path, TrafficSpec(10))
+
     @pytest.mark.parametrize("path,valid", [
         ([24, 8, 22, 4], True),
         ([np.int64(u) for u in (24, 8, 22, 4)], True),
@@ -715,7 +759,16 @@ class TestValidatePath:
         # -1 would index node 24's neighbours, 25 past the end.
         ([-1, 8, 22, 4], False),
         ([25, 8, 22, 4], False),
-    ], ids=["int", "np-int64", "float", "negative", "out-of-range"])
+        # An array once raised numpy's truth-value error; it is judged as
+        # its list.
+        (np.array([24, 8, 22, 4]), True),
+        (np.array([24, 8, 22]), False),
+        (np.array([24, 8, 8]), False),
+        (np.array([], dtype=int), False),
+        (np.array([24.0, 8, 22, 4]), False),
+    ], ids=["int", "np-int64", "float", "negative", "out-of-range",
+            "array", "array-no-gateway", "array-repeat", "array-empty",
+            "float-array"])
     def test_node_id_types(self, path, valid):
         topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
         assert validate_path(topo, path) is valid
