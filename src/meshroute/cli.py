@@ -19,7 +19,7 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from .qos import PenaltyCoeffs, QosRequest
 from .routing import HybridConfig, RunResult, run
@@ -284,9 +284,7 @@ def cmd_bench(args) -> int:
         overrides["seeds_per_cell"] = args.seeds
     if args.seed is not None:
         overrides["base_seed"] = args.seed
-    if overrides:
-        plan = ExperimentPlan(**{**asdict(plan), **overrides})
-    run_bench(plan, args.out_dir, workers=args.workers)
+    run_bench(replace(plan, **overrides), args.out_dir, workers=args.workers)
     print(f"wrote benchmark tables to {args.out_dir}")
     return 0
 

@@ -35,9 +35,14 @@ class ContinuousConfig:
     def __post_init__(self):
         if not self.bounds:
             raise ValueError("bounds must be non-empty")
-        if not all(math.isfinite(lo) and math.isfinite(hi) and lo < hi
-                   for lo, hi in self.bounds):
-            raise ValueError("each bound must be finite with lo < hi")
+        try:
+            ok = all(math.isfinite(lo) and math.isfinite(hi) and lo < hi
+                     for lo, hi in self.bounds)
+        except (TypeError, ValueError):  # a bound that is no pair of numbers
+            ok = False
+        if not ok:
+            raise ValueError("each bound must be a pair of finite numbers "
+                             "lo < hi")
         counts = (self.swarm_size, self.iterations, self.rng_seed)
         if not all(type(c) is int for c in counts):  # no bools, no floats
             raise ValueError(
@@ -65,13 +70,6 @@ class RealParticle:
             raise ValueError("position/velocity dimension mismatch")
 
 
-def _clamp(particle: RealParticle, lo: np.ndarray, hi: np.ndarray) -> None:
-    below = particle.position < lo
-    above = particle.position > hi
-    particle.position = np.clip(particle.position, lo, hi)
-    particle.velocity = np.where(below | above, 0.0, particle.velocity)
-
-
 def pso_step(particle: RealParticle, gbest_position: np.ndarray,
              config: ContinuousConfig, rng: np.random.Generator) -> RealParticle:
     """One inertia + cognitive + social velocity/position update.
@@ -85,11 +83,11 @@ def pso_step(particle: RealParticle, gbest_position: np.ndarray,
     v = (config.w * particle.velocity
          + config.c1 * r1 * (particle.pbest_position - particle.position)
          + config.c2 * r2 * (gbest_position - particle.position))
-    particle.velocity = v
-    particle.position = particle.position + v
+    x = particle.position + v
     lo = np.array([b[0] for b in config.bounds])
     hi = np.array([b[1] for b in config.bounds])
-    _clamp(particle, lo, hi)
+    particle.position = np.clip(x, lo, hi)
+    particle.velocity = np.where((x < lo) | (x > hi), 0.0, v)
     return particle
 
 

@@ -354,7 +354,9 @@ def two_point_crossover(p1: list[int], p2: list[int], ctx: RouteContext,
 def mutate(path: list[int], ctx: RouteContext, rng: random.Random,
            mutation_rate: float) -> list[int]:
     """With probability ``mutation_rate``, drop one interior node and bridge
-    the gap with the cheapest detour that avoids it; no detour, no change."""
+    the gap with the cheapest detour that avoids it; no detour, no change.
+    The detour's interior avoids the route and every gateway, so the splice
+    is simple, follows links and ends at the route's one gateway."""
     if len(path) < 3 or rng.random() >= mutation_rate:
         return path
     k = rng.randrange(1, len(path) - 1)
@@ -362,10 +364,7 @@ def mutate(path: list[int], ctx: RouteContext, rng: random.Random,
     detour = ctx.topo.shortest_path(path[k - 1], path[k + 1], avoid=forbidden)
     if detour is None:
         return path
-    candidate = path[:k - 1] + detour + path[k + 2:]
-    if not validate_path(ctx.topo, candidate):
-        return path
-    return candidate
+    return path[:k - 1] + detour + path[k + 2:]
 
 
 def walk_outcomes(ctx: RouteContext,
@@ -554,9 +553,8 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
         for p in pso_set:
             new_path = oplus_update(p, best.path, ctx, config, rng)
             next_gen.append(_child(new_path, p, ctx))
-        if ga_set:
-            next_gen.extend(_ga_offspring(ga_set, ctx, rng,
-                                          tournament=(config.algorithm == "ga")))
+        next_gen.extend(_ga_offspring(ga_set, ctx, rng,
+                                      tournament=(config.algorithm == "ga")))
         swarm = dedupe(next_gen, ctx, rng)
 
     return RunResult(

@@ -74,8 +74,11 @@ class Node:
     radios: tuple[int, ...]
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise TopologyError(f"node {self.id} has a non-finite position")
+        # bool is an int subclass, so JSON true would pass as 1.
+        if (bool in (type(self.x), type(self.y))
+                or not (math.isfinite(self.x) and math.isfinite(self.y))):
+            raise TopologyError(
+                f"node {self.id} has a position that is not a finite number")
         if not self.radios:
             raise TopologyError(f"node {self.id} has no radios")
         if any(type(c) is not int or not 1 <= c <= NUM_CHANNELS
@@ -104,10 +107,14 @@ class Link:
         if type(self.channel) is not int or not 1 <= self.channel <= NUM_CHANNELS:
             raise TopologyError(f"link {self.u}-{self.v} channel is not an "
                                 f"integer in 1..{NUM_CHANNELS}")
-        if not all(map(math.isfinite, (self.cost, self.bandwidth, self.delay,
-                                       self.jitter, self.loss_prob,
-                                       self.i_factor))):
-            raise TopologyError(f"link {self.u}-{self.v} has a non-finite weight")
+        weights = (self.cost, self.bandwidth, self.delay, self.jitter,
+                   self.loss_prob, self.i_factor)
+        if bool in map(type, weights) or not all(map(math.isfinite, weights)):
+            raise TopologyError(f"link {self.u}-{self.v} has a weight that "
+                                "is not a finite number")
+        if type(self.synthetic) is not bool:
+            raise TopologyError(f"link {self.u}-{self.v} synthetic flag is "
+                                "not a boolean")
         if self.cost <= 0 or self.bandwidth <= 0:
             raise TopologyError("cost and bandwidth must be positive")
         if self.delay < 0 or self.jitter < 0:
@@ -195,12 +202,16 @@ class MeshTopology:
         if not self.gateways <= {n.id for n in self.nodes}:
             raise TopologyError("gateways must be topology nodes")
         if not (isinstance(transmission_range, (int, float))
+                and type(transmission_range) is not bool
                 and math.isfinite(transmission_range) and transmission_range > 0):
             raise TopologyError("range must be finite and positive")
         self.transmission_range = float(transmission_range)
         # Dijkstra relaxes neighbours in link insertion order, which fixes
         # how equal-cost ties break; everything else reads the sorted tuples
-        # or the per-node link table.
+        # or the per-node link table.  adjacency[u] is u's neighbours in
+        # ascending id order; link_table[u][v] is link(u, v) for each
+        # neighbour v of u, keyed in link insertion order, for loops that
+        # check or fetch many hops.  Read both, never modify them.
         weighted: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
         table: list[dict[int, Link]] = [{} for _ in self.nodes]
         for (u, v), link in self._links.items():
@@ -208,8 +219,9 @@ class MeshTopology:
             weighted[v].append((u, link.cost))
             table[u][v] = table[v][u] = link
         self._weighted_adj = tuple(tuple(w) for w in weighted)
-        self._adj = tuple(tuple(sorted(v for v, _ in w)) for w in weighted)
-        self._link_table = tuple(table)
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sorted(v for v, _ in w)) for w in weighted)
+        self.link_table: tuple[dict[int, Link], ...] = tuple(table)
         self._dijkstra_cache: dict[int, tuple[array, array]] = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -223,24 +235,17 @@ class MeshTopology:
         return tuple(self._links[k] for k in sorted(self._links))
 
     def link(self, u: int, v: int) -> Link | None:
+        if not (self.has_node(u) and self.has_node(v)):
+            return None
         return self._links.get((u, v) if u < v else (v, u))
 
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Every node's neighbours, indexed by node id: ``adjacency[u]`` is
-        the neighbours of ``u`` in ascending id order."""
-        return self._adj
-
-    @property
-    def link_table(self) -> tuple[dict[int, Link], ...]:
-        """Every node's links, indexed by node id: ``link_table[u][v]`` is
-        ``link(u, v)`` for each neighbour ``v`` of ``u``, keyed in link
-        insertion order, for loops that check or fetch many hops.  Read it,
-        never modify it."""
-        return self._link_table
-
     def has_node(self, u: int) -> bool:
-        return 0 <= u < len(self.nodes)
+        """True iff ``u`` is a node id: a plain or numpy integer, not a
+        bool, from 0 to n-1, as validate_path accepts."""
+        if type(u) is int:
+            return 0 <= u < len(self.nodes)
+        return (isinstance(u, (int, np.integer)) and not isinstance(u, bool)
+                and 0 <= u < len(self.nodes))
 
     @cached_property
     def max_link_cost(self) -> float:
@@ -344,7 +349,7 @@ class MeshTopology:
         component, so all its links are traps.  Each node's trap links are a
         tuple in ``adjacency`` order, the shared empty tuple for most nodes.
         """
-        adj, gateways = self._adj, self.gateways
+        adj, gateways = self.adjacency, self.gateways
         n = len(adj)
         # One search from each gateway not yet reached, in ascending id order,
         # as a child of the root.  Discovery order counts from 1, so 0 is the

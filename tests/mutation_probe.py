@@ -60,6 +60,14 @@ MUTANTS = [
      "src/meshroute/routing.py",
      "t - last_improve >= STAGNATION_WINDOW",
      "t - last_improve > STAGNATION_WINDOW"),
+    ("mutate detour may revisit the route",
+     "src/meshroute/routing.py",
+     "forbidden = (set(path) | set(ctx.gateways)) - {path[k - 1], path[k + 1]}",
+     "forbidden = set(ctx.gateways) - {path[k - 1], path[k + 1]}"),
+    ("has_node accepts a bool",
+     "src/meshroute/topology.py",
+     "isinstance(u, (int, np.integer)) and not isinstance(u, bool)",
+     "isinstance(u, (int, np.integer))"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

@@ -236,6 +236,26 @@ def test_bench_outputs_unchanged(tmp_path, workers):
     assert bench_digest(tmp_path) == (BENCH_SHA256, SUMMARY_SHA256)
 
 
+# A sweep whose routes are long enough to search: every best route has 3 to
+# 6 hops, and at 400 nodes the algorithms settle on different routes.  With
+# three seeds a cell's mean and median differ.
+MULTIHOP_BENCH_PLAN = dict(node_sizes=[200, 400], seeds_per_cell=3,
+                           max_iterations=20, packet_count=500)
+
+# bench_digest() of MULTIHOP_BENCH_PLAN, recorded before mutate stopped
+# re-checking its detour.
+MULTIHOP_BENCH_SHA256 = (
+    "dcb05d39f936eca3ada3b2cc9c7fec7340f88c2b4f7cb06474e2f0f6381da1fb")
+MULTIHOP_SUMMARY_SHA256 = (
+    "1fc5a2e8ae5d5a858b9ded5f25e5e2ca4f38d3a946825d2c93b21b5661240878")
+
+
+def test_multihop_bench_outputs_unchanged(tmp_path):
+    run_bench(ExperimentPlan(**MULTIHOP_BENCH_PLAN), str(tmp_path))
+    assert bench_digest(tmp_path) == (MULTIHOP_BENCH_SHA256,
+                                      MULTIHOP_SUMMARY_SHA256)
+
+
 def _sphere(x):
     return float((x ** 2).sum())
 

@@ -145,7 +145,8 @@ class TestRoute:
         assert "error: cannot load" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [("range", "abc"), ("range", -1),
-                                              ("x", "abc")])
+                                              ("x", "abc"), ("range", True),
+                                              ("x", True)])
     def test_malformed_number_errors(self, tmp_path, capsys, field, value):
         # "range" "abc" once escaped as a plain ValueError (exit 2); the
         # others loaded and ran.

@@ -49,6 +49,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ContinuousConfig(**kw)
 
+    @pytest.mark.parametrize("bounds", [[(0.0, "a")], [None], [(0.0,)],
+                                        [(0.0, 1.0, 2.0)], 5],
+                             ids=["str", "none", "one-number",
+                                  "three-numbers", "int"])
+    def test_malformed_bound_rejected(self, bounds):
+        # These raised TypeError, or an unpacking ValueError.
+        with pytest.raises(ValueError, match="each bound"):
+            ContinuousConfig(bounds=bounds)
+
     def test_single_particle_runs(self):
         cfg = ContinuousConfig(bounds=[(-1.0, 1.0)], swarm_size=1,
                                iterations=5, rng_seed=2)

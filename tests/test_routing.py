@@ -39,7 +39,8 @@ from meshroute.topology import PathExplosionError
 
 from conftest import (brute_force_trap_links, make_topo, merge_demo_topo,
                       source_for)
-from test_behaviour_pin import tie_mesh
+from test_behaviour_pin import (SEARCH_PERCENTILES, SEARCH_REQ, SEARCH_SIZES,
+                                SEEDS, tie_mesh)
 
 
 REQ = QosRequest(bw_req=5.0, d_req=100.0, j_req=100.0, beta=0.0)
@@ -815,6 +816,50 @@ class TestRun:
         for seed in range(3):
             res = run(topo, source_for(topo), REQ, coeffs, HybridConfig(rng_seed=seed))
             assert validate_path(topo, res.best_path)
+
+    def test_every_particle_and_operator_output_is_a_route(self, monkeypatch):
+        # Over the search grid, every route a particle is made with and
+        # every route an operator returns is simple, follows links and holds
+        # exactly one gateway, at its end.  mutate and the operators return
+        # their routes unchecked, so this is what would see them break.
+        made = {
+            "_fresh": lambda p: (p.path, p.pbest_path),
+            "_child": lambda p: (p.path, p.pbest_path),
+            "random_walk_path": lambda route: (route,),
+            "oplus_update": lambda route: (route,),
+            "two_point_crossover": lambda children: children,
+            "mutate": lambda route: (route,),
+            "repair_path": lambda route: (route,),
+        }
+        called = set()
+        mesh = {}
+
+        def checking(name, original):
+            def wrapper(*args, **kwargs):
+                out = original(*args, **kwargs)
+                called.add(name)
+                for route in made[name](out):
+                    assert route is not None, name
+                    assert validate_path(mesh["topo"], route), (name, route)
+                    assert mesh["topo"].gateways.isdisjoint(route[:-1]), (
+                        name, route)
+                return out
+            return wrapper
+
+        for name in made:
+            monkeypatch.setattr(routing, name,
+                                checking(name, getattr(routing, name)))
+        for size in SEARCH_SIZES:
+            for seed in SEEDS:
+                topo = mesh["topo"] = generate_topology(
+                    TopologyParams(node_count=size, rng_seed=seed))
+                coeffs = PenaltyCoeffs.for_request(SEARCH_REQ, topo)
+                for percentile in SEARCH_PERCENTILES:
+                    source = default_source(topo, percentile)
+                    for algorithm in ("pso", "ga", "hybrid"):
+                        run(topo, source, SEARCH_REQ, coeffs,
+                            HybridConfig(rng_seed=seed, algorithm=algorithm))
+        assert called == set(made)
 
 
 @st.composite

@@ -547,6 +547,35 @@ class TestMultiSourceCosts:
             default_source(make_topo(3, {(0, 1): {}}, gateways={2}))
 
 
+class TestNodeIds:
+    # has_node once checked only the range: shortest_path(0, True) returned
+    # [0, 19, 18, 15, 3, 20, 13, 2, True], link(True, 2) and link(1.0, 2)
+    # the 1-2 link, and gateway_path(1.5) raised TypeError.
+    @pytest.mark.parametrize("node", [True, False, 1.0, 1.5, "1", None, -1,
+                                      25],
+                             ids=["true", "false", "float", "fraction", "str",
+                                  "none", "negative", "out-of-range"])
+    def test_non_node_id_rejected(self, node):
+        topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
+        assert topo.has_node(node) is False
+        for query in (lambda: topo.shortest_path(0, node),
+                      lambda: topo.shortest_path(node, 0),
+                      lambda: topo.shortest_path_cost(0, node),
+                      lambda: topo.shortest_path_costs(node),
+                      lambda: topo.gateway_path(node)):
+            with pytest.raises(TopologyError):
+                query()
+        assert topo.link(node, 2) is None and topo.link(2, node) is None
+
+    def test_numpy_integer_accepted(self):
+        topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
+        one = np.int64(1)
+        assert topo.has_node(one)
+        assert topo.link(one, 2) is topo.link(1, 2) is not None
+        assert topo.shortest_path(0, one) == topo.shortest_path(0, 1)
+        assert topo.gateway_path(one) == topo.gateway_path(1)
+
+
 class TestAdjacency:
     def test_neighbors_sorted_tuple(self):
         from conftest import merge_demo_topo
@@ -642,7 +671,16 @@ class TestLinkValidation:
                                               ("range", -1), ("range", 0),
                                               ("range", "abc"),
                                               ("range", math.nan),
-                                              ("channel", 1.5)])
+                                              ("channel", 1.5),
+                                              # These loaded too: JSON
+                                              # true and false as numbers,
+                                              # and a flag that is no bool.
+                                              ("x", True), ("y", False),
+                                              ("range", True),
+                                              ("cost", True),
+                                              ("ifactor", False),
+                                              ("synthetic", "no"),
+                                              ("synthetic", 0)])
     def test_rejected_when_loaded(self, field, value):
         # Link fields edit the first link; node fields edit node 1.  True ==
         # 1, so a bool passes every range check unless it is rejected as such.
