@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .topology import MeshTopology, validate_path, enumerate_simple_paths
+from .topology import (MeshTopology, enumerate_simple_paths, is_number,
+                       validate_path)
 
 # min_bw of a zero-link path: no link constrains bandwidth.
 NO_LINK_BANDWIDTH = math.inf
@@ -33,9 +34,10 @@ class QosRequest:
     beta: float = 0.5
 
     def __post_init__(self):
-        if not all(map(math.isfinite,
-                       (self.bw_req, self.d_req, self.j_req, self.beta))):
-            raise ValueError("bw_req, d_req, j_req and beta must be finite")
+        demands = (self.bw_req, self.d_req, self.j_req, self.beta)
+        if not all(is_number(x) and math.isfinite(x) for x in demands):
+            raise ValueError(
+                "bw_req, d_req, j_req and beta must be finite numbers")
         if self.bw_req <= 0 or self.d_req <= 0 or self.j_req <= 0:
             raise ValueError("bw_req, d_req and j_req must be positive")
         if not 0.0 <= self.beta <= 1.0:
@@ -62,8 +64,8 @@ class PenaltyCoeffs:
 
     def __post_init__(self):
         coeffs = (self.eta1, self.eta2, self.eta3, self.lam)
-        if not all(map(math.isfinite, coeffs)):
-            raise ValueError("eta1, eta2, eta3 and lam must be finite")
+        if not all(is_number(c) and math.isfinite(c) for c in coeffs):
+            raise ValueError("eta1, eta2, eta3 and lam must be finite numbers")
         if min(coeffs) < 0:
             raise ValueError("coefficients must be non-negative")
 

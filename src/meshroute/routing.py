@@ -17,7 +17,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .qos import FitnessBreakdown, PenaltyCoeffs, QosRequest, fitness
-from .topology import MeshTopology, validate_path
+from .topology import MeshTopology, is_number, validate_path
 
 
 # Random walk attempts before falling back to the min-cost gateway path.
@@ -25,9 +25,6 @@ WALK_RESTARTS = 50
 
 # Walks dedupe draws again when a replacement repeats a route it has seen.
 DEDUPE_RETRIES = 20
-
-# Search steps per mesh node that walk_outcomes may take before giving up.
-OUTCOME_SEARCH_STEPS = 20
 
 # The hybrid's generation structure: the ranked swarm's elite share, carried
 # over unchanged (ceil(0.1 * N) >= 1 for every swarm_size >= 2, so the
@@ -64,8 +61,9 @@ class HybridConfig:
             raise ValueError("swarm_size must be >= 2")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (0.0 <= self.c1 <= 2.0 and 0.0 <= self.c2 <= 2.0):
-            raise ValueError("c1 and c2 must lie in [0, 2]")
+        if not all(is_number(c) and 0.0 <= c <= 2.0
+                   for c in (self.c1, self.c2)):
+            raise ValueError("c1 and c2 must be numbers in [0, 2]")
         if self.algorithm not in ("pso", "ga", "hybrid"):
             raise ValueError("algorithm must be pso, ga or hybrid")
 
@@ -127,10 +125,6 @@ class RouteContext:
         # row is read once here rather than looked up node by node.
         self.source_costs = topo.shortest_path_costs(source)
         self._scores: dict[tuple[int, ...], FitnessBreakdown] = {}
-        # walk_outcomes() for this run, searched by dedupe when a
-        # replacement first uses up its retries.
-        self.outcomes: frozenset[tuple[int, ...]] | None = None
-        self.outcomes_searched = False
 
     def fitness(self, path: list[int]) -> FitnessBreakdown:
         """F of ``path``, computed once per distinct node sequence.
@@ -367,75 +361,30 @@ def mutate(path: list[int], ctx: RouteContext, rng: random.Random,
     return path[:k - 1] + detour + path[k + 2:]
 
 
-def walk_outcomes(ctx: RouteContext,
-                  limit: int) -> frozenset[tuple[int, ...]] | None:
-    """Every route random_walk_path can return: each simple path from the
-    source that ends at the first gateway it reaches (the fallback route is
-    one of them).
-
-    A depth-first search that skips trap links, which no such path crosses.
-    Returns None once it finds more than ``limit`` routes or takes more
-    than OUTCOME_SEARCH_STEPS steps per mesh node.
-    """
-    source, gateways = ctx.source, ctx.gateways
-    adjacency, traps = ctx.topo.adjacency, ctx.topo.trap_links
-    budget = OUTCOME_SEARCH_STEPS * len(adjacency)
-    routes: set[tuple[int, ...]] = set()
-    path = [source]
-    on_path = bytearray(len(adjacency))
-    on_path[source] = 1
-    todo = [iter(adjacency[source])]
-    while todo:
-        node = path[-1]
-        for v in todo[-1]:
-            if on_path[v] or v in traps[node]:
-                continue
-            budget -= 1
-            if budget < 0:
-                return None
-            if v in gateways:
-                routes.add((*path, v))
-                if len(routes) > limit:
-                    return None
-                continue
-            path.append(v)
-            on_path[v] = 1
-            todo.append(iter(adjacency[v]))
-            break
-        else:
-            todo.pop()
-            on_path[path.pop()] = 0
-    return frozenset(routes)
-
-
 def dedupe(swarm: list[Particle], ctx: RouteContext,
            rng: random.Random) -> list[Particle]:
     """Replace duplicate routes (beyond the first) with fresh random walks,
     resetting the replacement's personal best; swarm size is preserved.
 
     A replacement that repeats a route already kept draws again, up to
-    DEDUPE_RETRIES times, and keeps its last walk.  The first time a
-    replacement uses up its retries, the run searches for every route a
-    walk can return (walk_outcomes, which gives up past one route per
-    particle).  Once all of them are kept, every retry would repeat one, so
-    a replacement keeps its first walk instead: it follows the same law as
-    the last retry would.
+    DEDUPE_RETRIES times, and keeps its last walk.  Once one replacement
+    has drawn all its retries and every walk repeated a kept route, the
+    walk's routes are most likely all kept, so each later replacement in
+    the same call keeps its first walk.  The next call retries again.
     """
     seen: set[tuple[int, ...]] = set()
     out = []
+    retries = DEDUPE_RETRIES
     for particle in swarm:
         key = tuple(particle.path)
         if key in seen:
             fresh = random_walk_path(ctx, rng)
-            if ctx.outcomes is None or not ctx.outcomes <= seen:
-                for _ in range(DEDUPE_RETRIES):
-                    if tuple(fresh) not in seen:
-                        break
-                    fresh = random_walk_path(ctx, rng)
-                else:
-                    if not ctx.outcomes_searched:
-                        ctx.outcomes = walk_outcomes(ctx, len(swarm))
-                        ctx.outcomes_searched = True
+            for _ in range(retries):
+                if tuple(fresh) not in seen:
+                    break
+                fresh = random_walk_path(ctx, rng)
+            if tuple(fresh) in seen:
+                retries = 0
             out.append(_fresh(fresh, ctx))
             seen.add(tuple(fresh))
         else:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 from array import array
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence, Set as AbstractSet
@@ -51,6 +52,12 @@ class TopologyError(ValueError):
 
 class PathExplosionError(RuntimeError):
     """Simple-path enumeration exceeded its configured cap."""
+
+
+def is_number(x) -> bool:
+    """Whether ``x`` is a real number (numpy's too) other than a bool: True
+    is an int, so JSON true would pass as 1.  Checks only the type."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def interference_factor(channel_separation: int) -> float:
@@ -156,9 +163,11 @@ class TopologyParams:
         if not 1 <= self.gateway_count < self.node_count:
             raise TopologyError("gateway_count must be in [1, node_count)")
         if self.area is not None and not all(
-                math.isfinite(side) and side > 0 for side in self.area):
+                is_number(side) and math.isfinite(side) and side > 0
+                for side in self.area):
             raise TopologyError("area sides must be finite and positive")
-        if not (math.isfinite(self.transmission_range)
+        if not (is_number(self.transmission_range)
+                and math.isfinite(self.transmission_range)
                 and self.transmission_range > 0):
             raise TopologyError("transmission_range must be finite and positive")
 

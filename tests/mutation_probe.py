@@ -68,6 +68,14 @@ MUTANTS = [
      "src/meshroute/topology.py",
      "isinstance(u, (int, np.integer)) and not isinstance(u, bool)",
      "isinstance(u, (int, np.integer))"),
+    ("dedupe never stops retrying",
+     "src/meshroute/routing.py",
+     "retries = 0",
+     "retries = DEDUPE_RETRIES"),
+    ("the first duplicate of a call never retries",
+     "src/meshroute/routing.py",
+     "retries = DEDUPE_RETRIES",
+     "retries = 0"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

@@ -240,8 +240,11 @@ class TestBench:
         {"packet_count": 0},
         {"node_sizes": [12, 12]},
         {"algorithms": ["hybrid", "hybrid"]},
+        # Once swept at 1 Mbps.
+        {"bw_req": True},
     ], ids=["unknown-key", "not-an-object", "float-count", "bool-count",
-            "zero-packets", "repeated-size", "repeated-algorithm"])
+            "zero-packets", "repeated-size", "repeated-algorithm",
+            "bool-bw-req"])
     def test_bad_plan_file_rejected_on_load(self, tmp_path, capsys,
                                             monkeypatch, document):
         if isinstance(document, dict):

@@ -42,19 +42,25 @@ class TestConfig:
         dict(bounds=[(-1.0, 1.0)], w=math.nan),
         dict(bounds=[(-1.0, 1.0)], c1=math.inf),
         dict(bounds=[(-1.0, 1.0)], c2=-math.inf),
+        # A bool once passed as 1, and a string raised TypeError.
+        dict(bounds=[(-1.0, 1.0)], w=True),
+        dict(bounds=[(-1.0, 1.0)], c1=False),
+        dict(bounds=[(-1.0, 1.0)], w="a"),
     ], ids=["empty", "lo-equals-hi", "nan", "inf", "minus-inf",
             "no-particles", "no-iterations", "float-swarm", "bool-iterations",
-            "negative-seed", "float-seed", "nan-w", "inf-c1", "minus-inf-c2"])
+            "negative-seed", "float-seed", "nan-w", "inf-c1", "minus-inf-c2",
+            "bool-w", "bool-c1", "str-w"])
     def test_unrunnable_config_rejected(self, kw):
         with pytest.raises(ValueError):
             ContinuousConfig(**kw)
 
     @pytest.mark.parametrize("bounds", [[(0.0, "a")], [None], [(0.0,)],
-                                        [(0.0, 1.0, 2.0)], 5],
+                                        [(0.0, 1.0, 2.0)], 5, [(False, True)]],
                              ids=["str", "none", "one-number",
-                                  "three-numbers", "int"])
+                                  "three-numbers", "int", "bools"])
     def test_malformed_bound_rejected(self, bounds):
-        # These raised TypeError, or an unpacking ValueError.
+        # These raised TypeError or an unpacking ValueError, or, for the
+        # bools, ran on [0, 1].
         with pytest.raises(ValueError, match="each bound"):
             ContinuousConfig(bounds=bounds)
 

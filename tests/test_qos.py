@@ -35,7 +35,10 @@ STRICT = PenaltyCoeffs(1.0, 1.0, 1.0, lam=10.0)
 
 class TestQosRequest:
     @pytest.mark.parametrize("field", ["bw_req", "d_req", "j_req", "beta"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # A bool once passed as 1 (a plan's "bw_req": true swept at 1 Mbps),
+    # and a string raised TypeError.
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       True, "a"])
     def test_non_finite_rejected(self, field, value):
         fields = dict(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.0)
         with pytest.raises(ValueError):
@@ -44,7 +47,8 @@ class TestQosRequest:
 
 class TestPenaltyCoeffs:
     @pytest.mark.parametrize("field", ["eta1", "eta2", "eta3", "lam"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       True, "a"])
     def test_non_finite_rejected(self, field, value):
         fields = dict(eta1=1.0, eta2=1.0, eta3=1.0, lam=1.0)
         with pytest.raises(ValueError):

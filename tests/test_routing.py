@@ -35,7 +35,6 @@ from meshroute import (
 from meshroute import routing
 from meshroute.cli import default_source
 from meshroute.routing import Particle, remove_loops
-from meshroute.topology import PathExplosionError
 
 from conftest import (brute_force_trap_links, make_topo, merge_demo_topo,
                       source_for)
@@ -86,25 +85,31 @@ def reference_walk(ctx, rng, traps):
 
 
 def reference_dedupe(swarm, ctx, rng):
-    """dedupe as first written, always retrying a repeated route 20 times;
-    the solver's dedupe must give the same routes and RNG state whenever
-    it does not skip the retries."""
+    """dedupe as first written, retrying a repeated route up to 20 times,
+    plus the cutoff: once a replacement's 21 walks all repeat kept routes,
+    each later repeat in the call keeps its first walk.  Returns the new
+    swarm and how many replacements the cutoff held to one walk; the
+    solver's dedupe must give the same routes and RNG state."""
     seen = set()
     out = []
+    dry = False
+    held = 0
     for particle in swarm:
         key = tuple(particle.path)
         if key in seen:
-            fresh = routing.random_walk_path(ctx, rng)
-            for _ in range(20):
-                if tuple(fresh) not in seen:
-                    break
-                fresh = routing.random_walk_path(ctx, rng)
-            out.append(routing._fresh(fresh, ctx))
-            seen.add(tuple(fresh))
+            walks = [routing.random_walk_path(ctx, rng)]
+            if dry:
+                held += 1
+            else:
+                while len(walks) <= 20 and tuple(walks[-1]) in seen:
+                    walks.append(routing.random_walk_path(ctx, rng))
+                dry = all(tuple(w) in seen for w in walks)
+            out.append(routing._fresh(walks[-1], ctx))
+            seen.add(tuple(walks[-1]))
         else:
             seen.add(key)
             out.append(particle)
-    return out
+    return out, held
 
 
 def reference_remove_loops(seq):
@@ -168,7 +173,11 @@ class TestHybridConfig:
         dict(max_iterations=float("nan")),
         # Once ran and reported seed 1.5.
         dict(rng_seed=1.5),
-    ], ids=["bad4", "bad5", "bad7"])
+        # A bool once passed as 1, and a string raised TypeError.
+        dict(c1=True),
+        dict(c2=False),
+        dict(c1="a"),
+    ], ids=["bad4", "bad5", "bad7", "bool-c1", "bool-c2", "str-c1"])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
             HybridConfig(**bad)
@@ -484,34 +493,30 @@ class TestSwarmMachinery:
 
 
 class TestDedupe:
-    def test_matches_reference_unless_every_route_is_kept(self):
+    def test_matches_reference_draw_for_draw(self):
         # Each route of a 15-walk swarm twice, from near and far sources.
-        searched = 0
+        held = 0
         for node_count in (25, 125):
             for mesh_seed in range(3):
                 topo = generate_topology(TopologyParams(node_count=node_count,
                                                         rng_seed=mesh_seed))
                 for percentile in (0.25, 0.75, 0.95):
                     source = default_source(topo, percentile)
+                    ctx = ctx_for(topo, source)
                     for seed in range(3):
-                        base = init_swarm(ctx_for(topo, source),
-                                          HybridConfig(swarm_size=15),
+                        base = init_swarm(ctx, HybridConfig(swarm_size=15),
                                           random.Random(seed))
-                        ctx = ctx_for(topo, source)
                         rng, ref_rng = random.Random(seed), random.Random(seed)
                         out = dedupe(base + base, ctx, rng)
-                        kept = {tuple(p.path) for p in out}
-                        if ctx.outcomes is not None and ctx.outcomes <= kept:
-                            continue  # the retries were skipped
-                        searched += ctx.outcomes_searched
-                        ref = reference_dedupe(base + base,
-                                               ctx_for(topo, source), ref_rng)
+                        ref, ref_held = reference_dedupe(base + base, ctx,
+                                                         ref_rng)
                         assert [p.path for p in out] == [p.path for p in ref]
                         assert rng.getstate() == ref_rng.getstate()
-        # Some replacements used up their retries, with routes left unkept.
-        assert searched
+                        held += ref_held
+        # Some replacement ran dry and the cutoff held a later one.
+        assert held
 
-    def test_draws_one_walk_per_duplicate_once_every_route_is_kept(
+    def test_draws_one_walk_per_duplicate_once_a_replacement_runs_dry(
             self, triangle, monkeypatch):
         drawn = []
         original = routing.random_walk_path
@@ -525,15 +530,12 @@ class TestDedupe:
         # then four repeats.
         routes = [[0, 2], [0, 1, 2]] + [[0, 2]] * 4
         swarm = [routing._fresh(p, ctx) for p in routes]
-        # The first repeat uses up its retries, which has the routes
-        # searched; each later repeat then draws one walk.
-        assert len(dedupe(swarm, ctx, rng)) == 6
-        assert ctx.outcomes == {(0, 2), (0, 1, 2)}
-        assert len(drawn) == (1 + routing.DEDUPE_RETRIES) + 3
-        # The search is kept for the run: every repeat draws one walk.
-        drawn.clear()
-        dedupe(swarm, ctx, rng)
-        assert len(drawn) == 4
+        # In each call the first repeat uses up its retries, every walk a
+        # kept route; each later repeat then draws one walk.
+        for _ in range(2):
+            drawn.clear()
+            assert len(dedupe(swarm, ctx, rng)) == 6
+            assert len(drawn) == (1 + routing.DEDUPE_RETRIES) + 3
         # While a route is not kept yet, a repeat retries as before.
         repeat = [routing._fresh([0, 1, 2], ctx)] * 2
         for seed in range(8):
@@ -622,51 +624,6 @@ class TestRandomWalk:
         bound = (math.sqrt(2 * routes / walks) / 2
                  + math.sqrt(math.log(1e9) / walks))
         assert tv <= bound
-
-
-class TestWalkOutcomes:
-    @pytest.mark.parametrize("node_count", [12, 25])
-    def test_matches_enumeration(self, node_count, monkeypatch):
-        monkeypatch.setattr(routing, "OUTCOME_SEARCH_STEPS", 10**9)
-        compared = 0
-        for mesh_seed in range(5):
-            topo = generate_topology(TopologyParams(node_count=node_count,
-                                                    rng_seed=mesh_seed))
-            for source in range(node_count):
-                if source in topo.gateways:
-                    continue
-                ctx = ctx_for(topo, source)
-                try:
-                    expected = {tuple(p) for p in enumerate_simple_paths(
-                        topo, source, set(topo.gateways),
-                        max_hops=node_count, cap=2000)}
-                except PathExplosionError:
-                    assert routing.walk_outcomes(ctx, 2000) is None
-                    continue
-                assert routing.walk_outcomes(ctx, len(expected)) == expected
-                assert routing.walk_outcomes(ctx, len(expected) - 1) is None
-                compared += 1
-        assert compared >= node_count
-
-    def test_skips_trap_links(self):
-        # 0 - 1 - 2 (gateway), and 1 - 3 into a gateway-free K7 on nodes
-        # 3-9: its 1957 simple paths from 3 would use up the budget of 200
-        # steps, but 1->3 is a trap link.
-        edges = {(0, 1): {}, (1, 2): {}, (1, 3): {}}
-        edges.update({e: {} for e in itertools.combinations(range(3, 10), 2)})
-        ctx = ctx_for(make_topo(10, edges, gateways={2}), 0)
-        assert routing.walk_outcomes(ctx, 1) == {(0, 1, 2)}
-
-    def test_gives_up_past_the_step_budget(self, monkeypatch):
-        # K8 has 1957 simple paths from node 0 to gateway 7, more than the
-        # budget of OUTCOME_SEARCH_STEPS steps per node allows.
-        edges = {(u, v): {} for u, v in itertools.combinations(range(8), 2)}
-        ctx = ctx_for(make_topo(8, edges, gateways={7}), 0)
-        assert routing.OUTCOME_SEARCH_STEPS * 8 < 1957
-        assert routing.walk_outcomes(ctx, 10**6) is None
-        monkeypatch.setattr(routing, "OUTCOME_SEARCH_STEPS", 10**6)
-        assert len(routing.walk_outcomes(ctx, 1957)) == 1957
-        assert routing.walk_outcomes(ctx, 1956) is None
 
 
 class TestUnmovedParticles:

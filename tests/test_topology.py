@@ -271,14 +271,16 @@ class TestGeneration:
         with pytest.raises(TopologyError):
             TopologyParams(**{"node_count": 25, **bad})
 
-    @pytest.mark.parametrize("reach", [0.0, -250.0, math.nan, math.inf])
+    # True once passed as a 1 m range; "a" raised TypeError.
+    @pytest.mark.parametrize("reach", [0.0, -250.0, math.nan, math.inf,
+                                       True, "a"])
     def test_bad_transmission_range_rejected(self, reach):
         with pytest.raises(TopologyError):
             TopologyParams(node_count=5, transmission_range=reach)
 
     @pytest.mark.parametrize("area", [
         (math.nan, 1000.0), (math.inf, 1000.0), (1000.0, math.nan),
-        (1000.0, -math.inf), (-1.0, 1000.0)])
+        (1000.0, -math.inf), (-1.0, 1000.0), (True, 5.0), ("a", 5.0)])
     def test_bad_area_rejected(self, area):
         with pytest.raises(TopologyError):
             TopologyParams(node_count=5, area=area)
