@@ -11,17 +11,9 @@ connecting segments.
 Run:  python3 demos/operators_walkthrough.py
 """
 
-from meshroute import (
-    Link,
-    MeshTopology,
-    Node,
-    PenaltyCoeffs,
-    QosRequest,
-    RouteContext,
-    combine_paths,
-    crossover_children,
-    repair_path,
-)
+from meshroute import Link, MeshTopology, Node, PenaltyCoeffs, QosRequest
+from meshroute.routing import (RouteContext, combine_paths, crossover_children,
+                               repair_path)
 
 LINK = dict(channel=1, bandwidth=11.0, delay=1.0, jitter=0.5,
             loss_prob=0.01, i_factor=0.0)

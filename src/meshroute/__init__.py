@@ -1,58 +1,16 @@
 """QoS-aware, interference-sensitive routing for multi-channel multi-radio
 wireless mesh graphs via a hybrid PSO-GA metaheuristic.
 
+The package root holds the library API that README's Library section
+lists; operators, constants and helpers are imported from their modules.
 numpy is the only runtime dependency."""
 
-from .topology import (
-    IFACTOR_TABLE,
-    Link,
-    MeshTopology,
-    Node,
-    PathExplosionError,
-    TopologyError,
-    TopologyParams,
-    UNREACHABLE,
-    enumerate_simple_paths,
-    generate_topology,
-    interference_factor,
-    validate_path,
-)
-from .qos import (
-    FitnessBreakdown,
-    InvalidPathError,
-    PathMetrics,
-    PenaltyCoeffs,
-    QosRequest,
-    fitness,
-    oracle_best,
-    path_metrics,
-    penalty,
-)
-from .routing import (
-    HybridConfig,
-    Particle,
-    RouteContext,
-    RunResult,
-    UnreachableGatewayError,
-    alter,
-    combine_paths,
-    crossover_children,
-    dedupe,
-    elitism_split,
-    init_swarm,
-    mutate,
-    oplus_update,
-    repair_path,
-    run,
-    two_point_crossover,
-)
-from .continuous import (
-    ContinuousConfig,
-    RealParticle,
-    pso_step,
-    run_continuous,
-    vpac_crossover,
-)
+from .topology import (Link, MeshTopology, Node, TopologyError,
+                       TopologyParams, generate_topology, validate_path)
+from .qos import (FitnessBreakdown, InvalidPathError, PenaltyCoeffs,
+                  QosRequest, fitness, oracle_best)
+from .routing import HybridConfig, RunResult, UnreachableGatewayError, run
 from .simulation import SimResult, TrafficSpec, evaluate_routing, simulate_path
+from .continuous import ContinuousConfig, run_continuous
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .qos import FitnessBreakdown, PenaltyCoeffs, QosRequest, fitness
-from .topology import MeshTopology, is_number, validate_path
+from .topology import MeshTopology, validate_path
 
 
 # Random walk attempts before falling back to the min-cost gateway path.
@@ -37,6 +37,10 @@ MUTATION_RATE = 0.05
 # Iterations without a strictly lower F after which a run stops.
 STAGNATION_WINDOW = 15
 
+# PSO attraction strengths toward the personal and the global best: each
+# merge stage replaces a position with probability min(1, C * r), r ~ U(0,1).
+C1 = C2 = 1.5
+
 
 class UnreachableGatewayError(ValueError):
     """No gateway can be reached from the requested source."""
@@ -46,8 +50,6 @@ class UnreachableGatewayError(ValueError):
 class HybridConfig:
     swarm_size: int = 30
     max_iterations: int = 100
-    c1: float = 1.5
-    c2: float = 1.5
     rng_seed: int = 0
     algorithm: str = "hybrid"
 
@@ -61,9 +63,6 @@ class HybridConfig:
             raise ValueError("swarm_size must be >= 2")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not all(is_number(c) and 0.0 <= c <= 2.0
-                   for c in (self.c1, self.c2)):
-            raise ValueError("c1 and c2 must be numbers in [0, 2]")
         if self.algorithm not in ("pso", "ga", "hybrid"):
             raise ValueError("algorithm must be pso, ga or hybrid")
 
@@ -102,7 +101,7 @@ class RouteContext:
 
     The topology memoizes shortest paths per source, so repair stitching
     stays cheap across thousands of operator applications; the context
-    holds the source's cost row for alter() and each route's fitness.
+    holds the source's cost row for the merge and each route's fitness.
     """
 
     def __init__(self, topo: MeshTopology, source: int,
@@ -121,8 +120,8 @@ class RouteContext:
         if topo.gateway_path(source) is None:
             raise UnreachableGatewayError(
                 f"no gateway reachable from node {source}")
-        # alter() compares source costs at every aligned position, so the
-        # row is read once here rather than looked up node by node.
+        # The merge compares source costs at every aligned position, so
+        # the row is read once here rather than looked up node by node.
         self.source_costs = topo.shortest_path_costs(source)
         self._scores: dict[tuple[int, ...], FitnessBreakdown] = {}
 
@@ -162,48 +161,29 @@ def remove_loops(seq: list[int]) -> list[int]:
     return out
 
 
-def repair_path(raw: list[int], ctx: RouteContext) -> list[int] | None:
-    """Turn an arbitrary node sequence into a valid source->gateway path.
+def repair_path(raw: list[int], ctx: RouteContext) -> list[int]:
+    """Turn a node sequence from the source to a gateway into a route.
 
     Non-adjacent consecutive pairs are bridged with the min-cost subpath,
-    loops excised, and a min-cost suffix appended when the sequence does not
-    end at a gateway.  Returns None when no valid path can be built.  A
-    returned route is valid by construction: excision keeps adjacency and
-    the source, truncation keeps a prefix, and the suffix ends at a gateway.
+    loops excised, and the sequence cut at its first gateway.  ``raw`` must
+    start at the source, end at a gateway and hold only nodes the source
+    reaches; both callers' sequences do, since they take their nodes from
+    routes of the run: combine_paths pins both endpoints, and each
+    crossover child keeps its base parent's head ``p[:a]`` and tail
+    ``p[b:]``.  Excision keeps adjacency, the source and the last node, so
+    the result is a simple route with one gateway, at its end.
     """
-    if not raw or raw[0] != ctx.source:
-        return None
-    n = ctx.topo.node_count
-    if any(not 0 <= u < n for u in raw):
-        return None
-    table = ctx.topo.link_table
+    table, shortest_path = ctx.topo.link_table, ctx.topo.shortest_path
     stitched = [raw[0]]
     for v in raw[1:]:
         u = stitched[-1]
-        if v == u:
-            continue
         if v in table[u]:
             stitched.append(v)
         else:
-            sub = ctx.topo.shortest_path(u, v)
-            if sub is None:
-                return None
-            stitched.extend(sub[1:])
+            stitched.extend(shortest_path(u, v)[1:])
     seq = remove_loops(stitched)
-    seq = _truncate_at_gateway(seq, ctx.gateways)
-    if seq[-1] not in ctx.gateways:
-        # seq holds no gateway.  seq[-1] is connected to the source, which
-        # reaches a gateway, and its tree path holds one gateway, at its end.
-        seq = remove_loops(seq + ctx.topo.gateway_path(seq[-1])[1:])
-    return seq
-
-
-def _truncate_at_gateway(seq: list[int], gateways: frozenset[int]) -> list[int]:
-    # Routes terminate at their first gateway; stitching may have crossed one.
-    for i, node in enumerate(seq[1:], start=1):
-        if node in gateways:
-            return seq[: i + 1]
-    return seq
+    end = next(i for i, node in enumerate(seq) if node in ctx.gateways)
+    return seq[:end + 1]
 
 
 # -- swarm operators -------------------------------------------------------
@@ -257,16 +237,6 @@ def init_swarm(ctx: RouteContext, config: HybridConfig,
     return [_fresh(p, ctx) for p in paths]
 
 
-def alter(a: int, b: int, ctx: RouteContext) -> int:
-    """Keep whichever node is cheaper to reach from the source; ties keep
-    the first argument.  Both must be node ids of the context's topology:
-    they index its cost row unchecked."""
-    cost = ctx.source_costs
-    if cost[b] < cost[a]:
-        return b
-    return a
-
-
 def combine_paths(current: list[int], other: list[int], ctx: RouteContext,
                   replace_prob: float = 1.0,
                   rng: random.Random | None = None) -> list[int]:
@@ -275,32 +245,36 @@ def combine_paths(current: list[int], other: list[int], ctx: RouteContext,
 
     Interior positions (aligned up to the shorter route, endpoints pinned)
     are each replaced, with probability ``replace_prob`` drawn from ``rng``
-    (needed unless ``replace_prob`` >= 1), by the cheaper of the two aligned
-    nodes.  Loops created by replacements are excised.
+    (needed unless ``replace_prob`` >= 1), by the aligned node of ``other``
+    when that is strictly cheaper to reach from the source; ties keep the
+    current node.  Loops created by replacements are excised.
     """
+    cost = ctx.source_costs
     out = list(current)
     limit = min(len(current), len(other)) - 1
     for k in range(1, limit):
         if replace_prob >= 1.0 or rng.random() < replace_prob:
-            out[k] = alter(out[k], other[k], ctx)
+            if cost[other[k]] < cost[out[k]]:
+                out[k] = other[k]
     return remove_loops(out)
 
 
 def oplus_update(particle: Particle, gbest_path: list[int], ctx: RouteContext,
-                 config: HybridConfig, rng: random.Random) -> list[int]:
+                 rng: random.Random) -> list[int]:
     """PSO-style position update in the path domain.
 
     Two merge stages (toward pbest then gbest); each stage's replacement
-    probability is min(1, c * r) with fresh r ~ U(0,1), so c1/c2 act as
-    attraction strengths.  The merged sequence keeps the source and takes
-    its nodes from routes of this run, so its repair always succeeds.  When
-    the merges leave the particle's route as it was, that route is returned
-    unrepaired: every route of a run is already a valid source->gateway
-    path with its one gateway at the end, which repair returns unchanged.
+    probability is min(1, C * r) with fresh r ~ U(0,1), so C1/C2 act as
+    attraction strengths.  The merged sequence keeps the route's source
+    and gateway and takes its nodes from routes of this run, as repair
+    needs.  When the merges leave the particle's route as it was, that
+    route is returned unrepaired: every route of a run is already a valid
+    source->gateway path with its one gateway at the end, which repair
+    returns unchanged.
     """
-    p1 = min(1.0, config.c1 * rng.random())
+    p1 = min(1.0, C1 * rng.random())
     step = combine_paths(particle.path, particle.pbest_path, ctx, p1, rng)
-    p2 = min(1.0, config.c2 * rng.random())
+    p2 = min(1.0, C2 * rng.random())
     step = combine_paths(step, gbest_path, ctx, p2, rng)
     if step == particle.path:
         return particle.path
@@ -321,26 +295,23 @@ def crossover_children(p1: list[int], p2: list[int],
     return child1, child2
 
 
-def draw_cuts(base: list[int], other: list[int],
-              rng: random.Random) -> tuple[int, int]:
-    # Window start must leave a non-empty same-index segment in `other`.
-    hi = min(len(base) - 1, len(other) - 1)
-    a = rng.randrange(1, hi)
-    b = rng.randrange(a, len(base))
-    return a, b
-
-
 def two_point_crossover(p1: list[int], p2: list[int], ctx: RouteContext,
                         rng: random.Random) -> tuple[list[int], list[int]]:
     """Crossover with randomly drawn windows plus repair.
 
-    Parents shorter than 3 nodes pass through unchanged.  Children keep the
-    source and take their nodes from the parents, so repair always succeeds.
+    Parents shorter than 3 nodes pass through unchanged.  Each child keeps
+    its base parent's source and gateway and takes its nodes from the
+    parents, as repair needs.
     """
     if len(p1) < 3 or len(p2) < 3:
         return p1, p2
-    cuts = (draw_cuts(p1, p2, rng), draw_cuts(p2, p1, rng))
-    raw1, raw2 = crossover_children(p1, p2, cuts)
+    # Each window starts where the other parent still has a node to give.
+    hi = min(len(p1), len(p2)) - 1
+    a1 = rng.randrange(1, hi)
+    b1 = rng.randrange(a1, len(p1))
+    a2 = rng.randrange(1, hi)
+    b2 = rng.randrange(a2, len(p2))
+    raw1, raw2 = crossover_children(p1, p2, ((a1, b1), (a2, b2)))
     return (repair_path(remove_loops(raw1), ctx),
             repair_path(remove_loops(raw2), ctx))
 
@@ -500,7 +471,7 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
         elite, pso_set, ga_set = elitism_split(ranked, breed_ratio, rng)
         next_gen = list(elite)
         for p in pso_set:
-            new_path = oplus_update(p, best.path, ctx, config, rng)
+            new_path = oplus_update(p, best.path, ctx, rng)
             next_gen.append(_child(new_path, p, ctx))
         next_gen.extend(_ga_offspring(ga_set, ctx, rng,
                                       tournament=(config.algorithm == "ga")))

@@ -162,10 +162,12 @@ class TopologyParams:
             raise TopologyError("node_count must be >= 2")
         if not 1 <= self.gateway_count < self.node_count:
             raise TopologyError("gateway_count must be in [1, node_count)")
-        if self.area is not None and not all(
-                is_number(side) and math.isfinite(side) and side > 0
-                for side in self.area):
-            raise TopologyError("area sides must be finite and positive")
+        if self.area is not None and not (
+                isinstance(self.area, (tuple, list)) and len(self.area) == 2
+                and all(is_number(side) and math.isfinite(side) and side > 0
+                        for side in self.area)):
+            raise TopologyError(
+                "area must be two finite, positive sides (width, height)")
         if not (is_number(self.transmission_range)
                 and math.isfinite(self.transmission_range)
                 and self.transmission_range > 0):

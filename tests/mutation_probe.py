@@ -44,10 +44,6 @@ MUTANTS = [
      "src/meshroute/routing.py",
      "return a if a.fitness.total <= b.fitness.total else b",
      "return a if a.fitness.total < b.fitness.total else b"),
-    ("gbest merge reads c1",
-     "src/meshroute/routing.py",
-     "p2 = min(1.0, config.c2 * rng.random())",
-     "p2 = min(1.0, config.c1 * rng.random())"),
     ("trap cut test is strict",
      "src/meshroute/topology.py",
      "if low[u] >= disc[p]:",
@@ -76,7 +72,24 @@ MUTANTS = [
      "src/meshroute/routing.py",
      "retries = DEDUPE_RETRIES",
      "retries = 0"),
+    ("repair does not cut at the first gateway",
+     "src/meshroute/routing.py",
+     "return seq[:end + 1]",
+     "return seq"),
+    ("merge ties take the other route's node",
+     "src/meshroute/routing.py",
+     "if cost[other[k]] < cost[out[k]]:",
+     "if cost[other[k]] <= cost[out[k]]:"),
+    ("the second crossover window may end past its own parent",
+     "src/meshroute/routing.py",
+     "b2 = rng.randrange(a2, len(p2))",
+     "b2 = rng.randrange(a2, len(p1))"),
 ]
+
+# Equivalent edits, not run, each with the reason it cannot be told apart:
+# - "gbest merge reads C1" (routing.oplus_update, ``C2 * rng.random()`` to
+#   ``C1 * rng.random()``): C1 == C2 == 1.5, so every run is unchanged; only
+#   a test that sets the two apart (test_gbest_merge_uses_c2) sees it.
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".hypothesis", "*.egg-info")

@@ -40,28 +40,30 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from meshroute import (
-    ContinuousConfig,
-    HybridConfig,
+from meshroute.topology import TopologyParams, generate_topology
+from meshroute.qos import (
     PenaltyCoeffs,
     QosRequest,
-    RealParticle,
-    RouteContext,
-    TopologyParams,
-    TrafficSpec,
-    combine_paths,
-    crossover_children,
-    generate_topology,
     oracle_best,
     path_metrics,
     penalty,
-    pso_step,
+)
+from meshroute.routing import (
+    HybridConfig,
+    RouteContext,
+    combine_paths,
+    crossover_children,
+    random_walk_path,
     run,
+)
+from meshroute.simulation import TrafficSpec, simulate_path
+from meshroute.continuous import (
+    ContinuousConfig,
+    RealParticle,
+    pso_step,
     run_continuous,
-    simulate_path,
 )
 from meshroute.cli import ExperimentPlan, default_source, main, run_bench
-from meshroute.routing import random_walk_path
 
 from conftest import merge_demo_topo
 

@@ -16,18 +16,10 @@ import math
 import numpy as np
 import pytest
 
-from meshroute import (
-    ContinuousConfig,
-    HybridConfig,
-    MeshTopology,
-    PenaltyCoeffs,
-    QosRequest,
-    TopologyParams,
-    generate_topology,
-    oracle_best,
-    run,
-    run_continuous,
-)
+from meshroute.topology import MeshTopology, TopologyParams, generate_topology
+from meshroute.qos import PenaltyCoeffs, QosRequest, oracle_best
+from meshroute.routing import HybridConfig, run
+from meshroute.continuous import ContinuousConfig, run_continuous
 from meshroute.cli import ExperimentPlan, default_source, run_bench
 
 from conftest import make_topo

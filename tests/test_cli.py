@@ -8,8 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from meshroute import (FitnessBreakdown, MeshTopology, PenaltyCoeffs,
-                       QosRequest, RunResult, SimResult, oracle_best)
+from meshroute.topology import MeshTopology
+from meshroute.qos import (
+    FitnessBreakdown,
+    PenaltyCoeffs,
+    QosRequest,
+    oracle_best,
+)
+from meshroute.routing import RunResult
+from meshroute.simulation import SimResult
 from meshroute import cli
 from meshroute.cli import (ExperimentPlan, default_source, main, run_bench,
                            write_bench_outputs)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meshroute import (
+from meshroute.continuous import (
     ContinuousConfig,
     RealParticle,
     pso_step,

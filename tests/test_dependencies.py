@@ -1,12 +1,27 @@
 """The package's runtime dependencies stay as declared: numpy only, and
-importing the command line loads no process pool."""
+importing the command line loads no process pool.  Its root exports the
+library API that README lists, and nothing else."""
 
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import meshroute
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+ROOT_API = {
+    "Link", "MeshTopology", "Node", "TopologyError", "TopologyParams",
+    "generate_topology", "validate_path",
+    "FitnessBreakdown", "InvalidPathError", "PenaltyCoeffs", "QosRequest",
+    "fitness", "oracle_best",
+    "HybridConfig", "RunResult", "UnreachableGatewayError", "run",
+    "SimResult", "TrafficSpec", "evaluate_routing", "simulate_path",
+    "ContinuousConfig", "run_continuous",
+}
 
 
 def loaded_after_import(modules):
@@ -31,3 +46,13 @@ def test_import_leaves_process_pool_unloaded():
     # run_bench imports the pool only when it runs with workers > 1.
     assert loaded_after_import(["concurrent.futures.process",
                                 "multiprocessing"]) == "[]"
+
+
+def test_package_root_exports_the_documented_api():
+    exported = {name for name, value in vars(meshroute).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert exported == ROOT_API
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("## Library")[1].split("\n## ")[0]
+    assert not [name for name in ROOT_API if f"`{name}`" not in library]

@@ -5,26 +5,24 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshroute import (
-    FitnessBreakdown,
-    HybridConfig,
+from meshroute.topology import (
+    TopologyParams,
+    enumerate_simple_paths,
+    generate_topology,
+)
+from meshroute.qos import (
     InvalidPathError,
     PathMetrics,
     PenaltyCoeffs,
     QosRequest,
-    RouteContext,
-    TopologyParams,
-    enumerate_simple_paths,
     fitness,
-    generate_topology,
     oracle_best,
     path_metrics,
     penalty,
-    run,
 )
-
+from meshroute.routing import (HybridConfig, RouteContext, random_walk_path,
+                              run)
 from meshroute.cli import default_source
-from meshroute.routing import random_walk_path
 
 from conftest import make_topo, source_for
 

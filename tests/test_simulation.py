@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from meshroute import (
-    HybridConfig,
-    InvalidPathError,
-    PenaltyCoeffs,
-    QosRequest,
+from meshroute.topology import TopologyParams, generate_topology
+from meshroute.qos import InvalidPathError, PenaltyCoeffs, QosRequest
+from meshroute.routing import HybridConfig
+from meshroute.simulation import (
     SimResult,
-    TopologyParams,
     TrafficSpec,
     evaluate_routing,
-    generate_topology,
     simulate_path,
 )
 

@@ -10,26 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshroute import (
-    InvalidPathError,
-    Link,
-    MeshTopology,
-    PathExplosionError,
-    PenaltyCoeffs,
-    QosRequest,
-    TopologyError,
-    TopologyParams,
-    TrafficSpec,
-    UNREACHABLE,
-    enumerate_simple_paths,
-    fitness,
-    generate_topology,
-    interference_factor,
-    simulate_path,
-    validate_path,
-)
-
-from meshroute.cli import default_source
 from meshroute.topology import (
     BANDWIDTH,
     COST_RANGE,
@@ -38,12 +18,25 @@ from meshroute.topology import (
     LOSS_RANGE,
     NUM_CHANNELS,
     RADIOS_PER_NODE,
+    Link,
+    MeshTopology,
     Node,
+    PathExplosionError,
+    TopologyError,
+    TopologyParams,
+    UNREACHABLE,
     _SLACK,
     _distances,
     _pick_gateways,
     _worst_interference,
+    enumerate_simple_paths,
+    generate_topology,
+    interference_factor,
+    validate_path,
 )
+from meshroute.qos import InvalidPathError, PenaltyCoeffs, QosRequest, fitness
+from meshroute.simulation import TrafficSpec, simulate_path
+from meshroute.cli import default_source
 
 from conftest import (LINK_DEFAULTS, brute_force_trap_links, make_topo,
                       source_for)
@@ -278,9 +271,12 @@ class TestGeneration:
         with pytest.raises(TopologyError):
             TopologyParams(node_count=5, transmission_range=reach)
 
+    # The last three once constructed and failed in generate_topology with
+    # a bare ValueError, or raised TypeError.
     @pytest.mark.parametrize("area", [
         (math.nan, 1000.0), (math.inf, 1000.0), (1000.0, math.nan),
-        (1000.0, -math.inf), (-1.0, 1000.0), (True, 5.0), ("a", 5.0)])
+        (1000.0, -math.inf), (-1.0, 1000.0), (True, 5.0), ("a", 5.0),
+        (500.0,), 5.0, (500.0, 500.0, 500.0)])
     def test_bad_area_rejected(self, area):
         with pytest.raises(TopologyError):
             TopologyParams(node_count=5, area=area)
