@@ -22,12 +22,11 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from .qos import PenaltyCoeffs, QosRequest
-from .routing import HybridConfig, RunResult, run
+from .routing import ALGORITHMS, HybridConfig, RunResult, run
 from .simulation import SimResult, TrafficSpec, simulate_path
 from .topology import MeshTopology, TopologyError, TopologyParams, generate_topology
 
 DEFAULT_SIZES = [25, 50, 75, 100, 125]
-DEFAULT_ALGORITHMS = ["pso", "ga", "hybrid"]
 
 
 @dataclass
@@ -41,7 +40,7 @@ class ExperimentPlan:
     bad plan fails here rather than after its first instance.
     """
     node_sizes: list[int] = field(default_factory=lambda: list(DEFAULT_SIZES))
-    algorithms: list[str] = field(default_factory=lambda: list(DEFAULT_ALGORITHMS))
+    algorithms: list[str] = field(default_factory=lambda: list(ALGORITHMS))
     seeds_per_cell: int = 30
     base_seed: int = 0
     bw_req: float = 5.0
@@ -61,7 +60,7 @@ class ExperimentPlan:
                 or self.seeds_per_cell < 1 or self.base_seed < 0):
             raise ValueError(
                 "plan needs sizes, algorithms, seeds >= 1 and base_seed >= 0")
-        bad = set(self.algorithms) - set(DEFAULT_ALGORITHMS)
+        bad = set(self.algorithms) - set(ALGORITHMS)
         if bad:
             raise ValueError(f"unknown algorithms: {sorted(bad)}")
         if (len(set(self.node_sizes)) < len(self.node_sizes)
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--delay", type=float, default=10.0)
     route.add_argument("--jitter", type=float, default=2.5)
     route.add_argument("--beta", type=float, default=0.0)
-    route.add_argument("--algorithm", choices=DEFAULT_ALGORITHMS,
+    route.add_argument("--algorithm", choices=ALGORITHMS,
                        default="hybrid")
     route.add_argument("--seed", type=int, default=0)
     route.add_argument("--json", action="store_true")
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run the benchmark sweeps")
     bench.add_argument("--config", help="JSON experiment plan")
     bench.add_argument("--sizes", type=int, nargs="+")
-    bench.add_argument("--algorithms", nargs="+", choices=DEFAULT_ALGORITHMS)
+    bench.add_argument("--algorithms", nargs="+", choices=ALGORITHMS)
     bench.add_argument("--seeds", type=int)
     bench.add_argument("--seed", type=int)
     bench.add_argument("--out-dir", required=True)

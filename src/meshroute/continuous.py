@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import is_number
+from .topology import is_finite
 # The generation structure is the route solver's: its elite share, PSO share
 # and mutation chance are used here too.
 from .routing import BREED_RATIO, ELITE_FRACTION, MUTATION_RATE
@@ -37,8 +37,7 @@ class ContinuousConfig:
         if not self.bounds:
             raise ValueError("bounds must be non-empty")
         try:
-            ok = all(is_number(lo) and is_number(hi) and math.isfinite(lo)
-                     and math.isfinite(hi) and lo < hi
+            ok = all(is_finite(lo) and is_finite(hi) and lo < hi
                      for lo, hi in self.bounds)
         except (TypeError, ValueError):  # a bound that is no pair of numbers
             ok = False
@@ -49,8 +48,7 @@ class ContinuousConfig:
         if not all(type(c) is int for c in counts):  # no bools, no floats
             raise ValueError(
                 "swarm_size, iterations and rng_seed must be integers")
-        if not all(is_number(c) and math.isfinite(c)
-                   for c in (self.w, self.c1, self.c2)):
+        if not all(map(is_finite, (self.w, self.c1, self.c2))):
             raise ValueError("w, c1 and c2 must be finite numbers")
         if self.swarm_size < 1:
             raise ValueError("swarm_size must be >= 1")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .topology import (MeshTopology, enumerate_simple_paths, is_number,
+from .topology import (MeshTopology, enumerate_simple_paths, is_finite,
                        validate_path)
 
 # min_bw of a zero-link path: no link constrains bandwidth.
@@ -35,7 +35,7 @@ class QosRequest:
 
     def __post_init__(self):
         demands = (self.bw_req, self.d_req, self.j_req, self.beta)
-        if not all(is_number(x) and math.isfinite(x) for x in demands):
+        if not all(map(is_finite, demands)):
             raise ValueError(
                 "bw_req, d_req, j_req and beta must be finite numbers")
         if self.bw_req <= 0 or self.d_req <= 0 or self.j_req <= 0:
@@ -64,7 +64,7 @@ class PenaltyCoeffs:
 
     def __post_init__(self):
         coeffs = (self.eta1, self.eta2, self.eta3, self.lam)
-        if not all(is_number(c) and math.isfinite(c) for c in coeffs):
+        if not all(map(is_finite, coeffs)):
             raise ValueError("eta1, eta2, eta3 and lam must be finite numbers")
         if min(coeffs) < 0:
             raise ValueError("coefficients must be non-negative")

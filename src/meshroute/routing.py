@@ -20,6 +20,9 @@ from .qos import FitnessBreakdown, PenaltyCoeffs, QosRequest, fitness
 from .topology import MeshTopology, validate_path
 
 
+# HybridConfig.algorithm's values: pure PSO, pure GA and the hybrid.
+ALGORITHMS = ("pso", "ga", "hybrid")
+
 # Random walk attempts before falling back to the min-cost gateway path.
 WALK_RESTARTS = 50
 
@@ -63,7 +66,7 @@ class HybridConfig:
             raise ValueError("swarm_size must be >= 2")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.algorithm not in ("pso", "ga", "hybrid"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError("algorithm must be pso, ga or hybrid")
 
 
@@ -301,7 +304,9 @@ def two_point_crossover(p1: list[int], p2: list[int], ctx: RouteContext,
 
     Parents shorter than 3 nodes pass through unchanged.  Each child keeps
     its base parent's source and gateway and takes its nodes from the
-    parents, as repair needs.
+    parents, as repair needs.  A child equal to its base parent is that
+    parent's route, unrepaired: repair returns every route of a run
+    unchanged, as in oplus_update.
     """
     if len(p1) < 3 or len(p2) < 3:
         return p1, p2
@@ -312,8 +317,8 @@ def two_point_crossover(p1: list[int], p2: list[int], ctx: RouteContext,
     a2 = rng.randrange(1, hi)
     b2 = rng.randrange(a2, len(p2))
     raw1, raw2 = crossover_children(p1, p2, ((a1, b1), (a2, b2)))
-    return (repair_path(remove_loops(raw1), ctx),
-            repair_path(remove_loops(raw2), ctx))
+    return (p1 if raw1 == p1 else repair_path(remove_loops(raw1), ctx),
+            p2 if raw2 == p2 else repair_path(remove_loops(raw2), ctx))
 
 
 def mutate(path: list[int], ctx: RouteContext, rng: random.Random,

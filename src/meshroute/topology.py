@@ -54,10 +54,11 @@ class PathExplosionError(RuntimeError):
     """Simple-path enumeration exceeded its configured cap."""
 
 
-def is_number(x) -> bool:
-    """Whether ``x`` is a real number (numpy's too) other than a bool: True
-    is an int, so JSON true would pass as 1.  Checks only the type."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+def is_finite(x) -> bool:
+    """Whether ``x`` is a finite real number (numpy's too) other than a
+    bool: True is an int, so JSON true would pass as 1."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
 
 
 def interference_factor(channel_separation: int) -> float:
@@ -164,12 +165,10 @@ class TopologyParams:
             raise TopologyError("gateway_count must be in [1, node_count)")
         if self.area is not None and not (
                 isinstance(self.area, (tuple, list)) and len(self.area) == 2
-                and all(is_number(side) and math.isfinite(side) and side > 0
-                        for side in self.area)):
+                and all(is_finite(side) and side > 0 for side in self.area)):
             raise TopologyError(
                 "area must be two finite, positive sides (width, height)")
-        if not (is_number(self.transmission_range)
-                and math.isfinite(self.transmission_range)
+        if not (is_finite(self.transmission_range)
                 and self.transmission_range > 0):
             raise TopologyError("transmission_range must be finite and positive")
 
@@ -200,39 +199,33 @@ class MeshTopology:
         self.nodes: tuple[Node, ...] = tuple(sorted(nodes, key=lambda n: n.id))
         if [n.id for n in self.nodes] != list(range(len(self.nodes))):
             raise TopologyError("node ids must be dense from 0")
-        self._links: dict[tuple[int, int], Link] = {}
+        # link_table[u][v] is the link joining u and its neighbour v, keyed
+        # in link insertion order: Dijkstra relaxes neighbours in that order,
+        # which fixes how equal-cost ties break.  Every other view of the
+        # links derives from this table.  Read it, never modify it.
+        table: list[dict[int, Link]] = [{} for _ in self.nodes]
         for link in links:
-            if not (self.has_node(link.u) and self.has_node(link.v)):
-                raise TopologyError(f"link {link.u}-{link.v} references unknown node")
-            if link.key in self._links:
+            u, v = link.u, link.v
+            if not (self.has_node(u) and self.has_node(v)):
+                raise TopologyError(f"link {u}-{v} references unknown node")
+            if v in table[u]:
                 raise TopologyError(f"duplicate link {link.key}")
-            self._links[link.key] = link
+            table[u][v] = table[v][u] = link
+        self.link_table: tuple[dict[int, Link], ...] = tuple(table)
         self.gateways: frozenset[int] = frozenset(gateways)
         if not self.gateways:
             raise TopologyError("gateway set is empty")
         if not self.gateways <= {n.id for n in self.nodes}:
             raise TopologyError("gateways must be topology nodes")
-        if not (isinstance(transmission_range, (int, float))
-                and type(transmission_range) is not bool
-                and math.isfinite(transmission_range) and transmission_range > 0):
+        if not (is_finite(transmission_range) and transmission_range > 0):
             raise TopologyError("range must be finite and positive")
         self.transmission_range = float(transmission_range)
-        # Dijkstra relaxes neighbours in link insertion order, which fixes
-        # how equal-cost ties break; everything else reads the sorted tuples
-        # or the per-node link table.  adjacency[u] is u's neighbours in
-        # ascending id order; link_table[u][v] is link(u, v) for each
-        # neighbour v of u, keyed in link insertion order, for loops that
-        # check or fetch many hops.  Read both, never modify them.
-        weighted: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
-        table: list[dict[int, Link]] = [{} for _ in self.nodes]
-        for (u, v), link in self._links.items():
-            weighted[u].append((v, link.cost))
-            weighted[v].append((u, link.cost))
-            table[u][v] = table[v][u] = link
-        self._weighted_adj = tuple(tuple(w) for w in weighted)
+        # Dijkstra's (neighbour, cost) pairs keep link_table's order;
+        # adjacency[u] is u's neighbours in ascending id order.
+        self._weighted_adj = tuple(
+            tuple([(v, link.cost) for v, link in t.items()]) for t in table)
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(v for v, _ in w)) for w in weighted)
-        self.link_table: tuple[dict[int, Link], ...] = tuple(table)
+            tuple(sorted(t)) for t in table)
         self._dijkstra_cache: dict[int, tuple[array, array]] = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -243,16 +236,14 @@ class MeshTopology:
 
     @property
     def links(self) -> tuple[Link, ...]:
-        return tuple(self._links[k] for k in sorted(self._links))
-
-    def link(self, u: int, v: int) -> Link | None:
-        if not (self.has_node(u) and self.has_node(v)):
-            return None
-        return self._links.get((u, v) if u < v else (v, u))
+        """Every link once, in ascending (lower id, higher id) order."""
+        table = self.link_table
+        return tuple(table[u][v] for u, nbrs in enumerate(self.adjacency)
+                     for v in nbrs if u < v)
 
     def has_node(self, u: int) -> bool:
         """True iff ``u`` is a node id: a plain or numpy integer, not a
-        bool, from 0 to n-1, as validate_path accepts."""
+        bool, from 0 to n-1."""
         if type(u) is int:
             return 0 <= u < len(self.nodes)
         return (isinstance(u, (int, np.integer)) and not isinstance(u, bool)
@@ -260,7 +251,8 @@ class MeshTopology:
 
     @cached_property
     def max_link_cost(self) -> float:
-        return max((l.cost for l in self._links.values()), default=0.0)
+        return max((l.cost for t in self.link_table for l in t.values()),
+                   default=0.0)
 
     # -- shortest paths ----------------------------------------------------
 
@@ -496,15 +488,8 @@ def validate_path(topo: MeshTopology, path: list[int],
         rest = path[1:]
     except (TypeError, KeyError):  # not a sequence; a dict gives KeyError
         return False
-    n = topo.node_count
-    for u in path:
-        # Plain ints skip the isinstance checks; bool is an int subclass
-        # but never a node id.
-        if type(u) is not int and (isinstance(u, bool) or
-                                   not isinstance(u, (int, np.integer))):
-            return False
-        if not 0 <= u < n:
-            return False
+    if not all(map(topo.has_node, path)):
+        return False
     if len(set(path)) != len(path):
         return False
     table = topo.link_table
@@ -669,7 +654,9 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
     # follow it.  numpy's distances only shortlist the pairs (with a little
     # slack for rounding); math.dist decides, as it decides the stitching.
     points = list(zip(xs.tolist(), ys.tolist()))
-    reach = params.transmission_range
+    # A plain float, so reach * _SLACK keeps its slack for a numpy float32
+    # range too.
+    reach = float(params.transmission_range)
     distance = _distances(xs, ys, xs, ys)
     near = np.triu(distance <= reach * _SLACK, k=1)
     for u, v in zip(*np.nonzero(near)):

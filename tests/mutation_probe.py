@@ -84,6 +84,18 @@ MUTANTS = [
      "src/meshroute/routing.py",
      "b2 = rng.randrange(a2, len(p2))",
      "b2 = rng.randrange(a2, len(p1))"),
+    ("a duplicate link overwrites the first",
+     "src/meshroute/topology.py",
+     "if v in table[u]:",
+     "if False:"),
+    ("is_finite accepts inf",
+     "src/meshroute/topology.py",
+     "and math.isfinite(x))",
+     "and not math.isnan(x))"),
+    ("the crossover skip compares a child with the other parent",
+     "src/meshroute/routing.py",
+     "p1 if raw1 == p1 else",
+     "p1 if raw1 == p2 else"),
 ]
 
 # Equivalent edits, not run, each with the reason it cannot be told apart:

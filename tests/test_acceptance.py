@@ -302,7 +302,7 @@ def test_criterion_7_simulation_calibration():
     pairs = _walk_pool(topo_seeds=range(5), walks_per_topo=10, walk_seed=70)
     worst = 0.0
     for k, (topo, path) in enumerate(pairs):
-        links = [topo.link(u, v) for u, v in zip(path, path[1:])]
+        links = [topo.link_table[u][v] for u, v in zip(path, path[1:])]
         expected = math.prod(1.0 - l.loss_prob for l in links)
         res = simulate_path(topo, path, TrafficSpec(100_000, seed=7000 + k))
         sigma = math.sqrt(expected * (1.0 - expected) / 100_000)

@@ -334,6 +334,23 @@ class TestCrossover:
         c1, c2 = crossover_children(p1, p1, cuts=((2, 2), (2, 2)))
         assert c1 == p1 and c2 == p1
 
+    def test_child_equal_to_its_base_parent_is_that_route(self, demo_ctx):
+        class Cuts:  # two_point_crossover's four randrange draws, scripted
+            draws = iter((3, 4, 1, 3))
+
+            def randrange(self, lo, hi):
+                cut = next(self.draws)
+                assert lo <= cut < hi
+                return cut
+
+        # Window [3, 4) of p1 takes p2's 9 for p1's own, so child 1 is p1
+        # itself, unrepaired; window [1, 3) of p2 takes p1's 2 and 4, so
+        # child 2 equals the other parent and is repaired into its value.
+        p1, p2 = [1, 2, 4, 9, 13], [1, 7, 5, 9, 13]
+        c1, c2 = two_point_crossover(p1, p2, demo_ctx, Cuts())
+        assert c1 is p1
+        assert c2 == p1
+
     def test_short_parents_unchanged(self, demo_ctx):
         c1, c2 = two_point_crossover([1, 13], [1, 13], demo_ctx,
                                      random.Random(0))

@@ -19,7 +19,7 @@ from conftest import make_topo, source_for
 def reference_simulate(topo, path, traffic):
     """simulate_path as first written: both draws through rng.uniform, the
     jitter drawn for every packet and averaged over the delivered ones."""
-    links = [topo.link(u, v) for u, v in zip(path, path[1:])]
+    links = [topo.link_table[u][v] for u, v in zip(path, path[1:])]
     n = traffic.packet_count
     rng = np.random.default_rng(traffic.seed)
     if not links:

@@ -228,7 +228,7 @@ class TestGeneration:
         topo = generate_topology(TopologyParams(node_count=30, rng_seed=7))
         pos = {n.id: (n.x, n.y) for n in topo.nodes}
         for u, v in itertools.combinations(range(topo.node_count), 2):
-            link = topo.link(u, v)
+            link = topo.link_table[u].get(v)
             within = math.dist(pos[u], pos[v]) <= topo.transmission_range
             if within:
                 assert link is not None
@@ -280,6 +280,19 @@ class TestGeneration:
     def test_bad_area_rejected(self, area):
         with pytest.raises(TopologyError):
             TopologyParams(node_count=5, area=area)
+
+    def test_numpy_range_builds_the_mesh_of_its_value(self):
+        # Both ranges once passed TopologyParams, and generate_topology then
+        # failed in MeshTopology with "range must be finite and positive".
+        want = generate_topology(TopologyParams(25, transmission_range=250))
+        got = generate_topology(TopologyParams(
+            25, transmission_range=np.int64(250)))
+        assert got.to_json() == want.to_json()
+        topo = generate_topology(TopologyParams(
+            25, transmission_range=np.float32(250.0)))
+        assert type(topo.transmission_range) is float
+        assert topo.transmission_range == 250.0
+        assert topo.to_json() == want.to_json()
 
     def test_bandwidth_and_interference_saturation_pinned(self):
         # Today's link model: one bandwidth everywhere, and 2 radios per node
@@ -486,7 +499,8 @@ class TestMultiSourceCosts:
                 abs=1e-9)
             path = topo.gateway_path(n)
             assert path[0] == n and validate_path(topo, path)
-            assert sum(topo.link(u, v).cost for u, v in zip(path, path[1:])) \
+            assert sum(topo.link_table[u][v].cost
+                       for u, v in zip(path, path[1:])) \
                 == pytest.approx(costs[n], abs=1e-9)
         assert all(costs[g] == 0.0 and topo.gateway_path(g) == [g]
                    for g in topo.gateways)
@@ -547,8 +561,8 @@ class TestMultiSourceCosts:
 
 class TestNodeIds:
     # has_node once checked only the range: shortest_path(0, True) returned
-    # [0, 19, 18, 15, 3, 20, 13, 2, True], link(True, 2) and link(1.0, 2)
-    # the 1-2 link, and gateway_path(1.5) raised TypeError.
+    # [0, 19, 18, 15, 3, 20, 13, 2, True], and gateway_path(1.5) raised
+    # TypeError.
     @pytest.mark.parametrize("node", [True, False, 1.0, 1.5, "1", None, -1,
                                       25],
                              ids=["true", "false", "float", "fraction", "str",
@@ -563,13 +577,13 @@ class TestNodeIds:
                       lambda: topo.gateway_path(node)):
             with pytest.raises(TopologyError):
                 query()
-        assert topo.link(node, 2) is None and topo.link(2, node) is None
 
     def test_numpy_integer_accepted(self):
         topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
         one = np.int64(1)
         assert topo.has_node(one)
-        assert topo.link(one, 2) is topo.link(1, 2) is not None
+        assert (topo.link_table[one][2] is topo.link_table[2][one]
+                is topo.link_table[1][2])
         assert topo.shortest_path(0, one) == topo.shortest_path(0, 1)
         assert topo.gateway_path(one) == topo.gateway_path(1)
 
@@ -582,10 +596,26 @@ class TestAdjacency:
         assert topo.adjacency[0] == ()
 
     def test_adjacent_matches_links(self):
+        # links and adjacency are views of link_table, the one edge store,
+        # on a generated mesh and on its JSON round trip.
         topo = generate_topology(TopologyParams(node_count=25, rng_seed=2))
-        for u, v in itertools.permutations(range(topo.node_count), 2):
-            assert (v in topo.adjacency[u]) == (topo.link(u, v) is not None)
-            assert topo.link_table[u].get(v) is topo.link(u, v)
+        for mesh in (topo, MeshTopology.from_json(topo.to_json())):
+            keys = [link.key for link in mesh.links]
+            assert keys == sorted(set(keys))
+            for link in mesh.links:
+                assert mesh.link_table[link.u][link.v] is link
+                assert mesh.link_table[link.v][link.u] is link
+            assert sum(map(len, mesh.link_table)) == 2 * len(keys)
+            for u in range(mesh.node_count):
+                assert mesh.adjacency[u] == tuple(sorted(mesh.link_table[u]))
+
+    def test_duplicate_link_rejected(self):
+        nodes = [Node(i, 10.0 * i, 0.0, (1, 6)) for i in range(3)]
+        for u, v in ((0, 1), (1, 0)):
+            links = [Link(0, 1, **LINK_DEFAULTS), Link(1, 2, **LINK_DEFAULTS),
+                     Link(u, v, **LINK_DEFAULTS)]
+            with pytest.raises(TopologyError, match="duplicate link"):
+                MeshTopology(nodes, links, {2}, 250.0)
 
     def test_connectivity(self):
         assert UNREACHABLE not in make_topo(3, {(0, 1): {}, (1, 2): {}},
@@ -711,7 +741,7 @@ class TestEnumerate:
                 return 1
             total = 0
             for nxt in range(5):
-                if nxt not in visited and topo.link(node, nxt):
+                if nxt not in visited and nxt in topo.link_table[node]:
                     total += count(nxt, visited | {nxt})
             return total
 
