@@ -8,7 +8,7 @@ numpy is the only runtime dependency."""
 from .topology import (Link, MeshTopology, Node, TopologyError,
                        TopologyParams, generate_topology, validate_path)
 from .qos import (FitnessBreakdown, InvalidPathError, PenaltyCoeffs,
-                  QosRequest, fitness, oracle_best)
+                  QosRequest, fitness)
 from .routing import HybridConfig, RunResult, UnreachableGatewayError, run
 from .simulation import SimResult, TrafficSpec, evaluate_routing, simulate_path
 from .continuous import ContinuousConfig, run_continuous

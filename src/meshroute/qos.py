@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .topology import (MeshTopology, enumerate_simple_paths, is_finite,
-                       validate_path)
+from .topology import MeshTopology, is_finite, validate_path
 
 # min_bw of a zero-link path: no link constrains bandwidth.
 NO_LINK_BANDWIDTH = math.inf
@@ -160,20 +159,3 @@ def fitness(topo: MeshTopology, path: list[int], req: QosRequest,
         feasible=(p == 0.0),
         valid=True,
     )
-
-
-def oracle_best(topo: MeshTopology, source: int, req: QosRequest,
-                coeffs: PenaltyCoeffs) -> tuple[list[int], FitnessBreakdown]:
-    """Exhaustive reference optimum over all simple source->gateway paths.
-
-    Ties in F break lexicographically by node sequence.  Only tractable on
-    small graphs; the enumeration's default cap bounds the blow-up.
-    """
-    if source in topo.gateways:
-        raise ValueError("source is a gateway")
-    paths = enumerate_simple_paths(topo, source, set(topo.gateways),
-                                   topo.node_count - 1)
-    if not paths:
-        raise ValueError("no gateway reachable from source")
-    best = min(paths, key=lambda p: (fitness(topo, p, req, coeffs).total, p))
-    return best, fitness(topo, best, req, coeffs)

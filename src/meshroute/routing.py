@@ -443,10 +443,10 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
     collapses this to a pure PSO or pure GA update), then discard duplicate
     routes.  The previous head is an elite and enters dedupe first, so the
     incumbent never gets worse, and exact-F ties go to the lower route, as
-    in `oracle_best`.  Each particle settles its personal best when it is
-    made.  Stops at the iteration cap or after STAGNATION_WINDOW
-    iterations without a strictly lower F.  Deterministic for a fixed seed,
-    wall time aside.
+    the (F, route) order ranks them.  Each particle settles its personal
+    best when it is made.  Stops at the iteration cap or after
+    STAGNATION_WINDOW iterations without a strictly lower F.
+    Deterministic for a fixed seed, wall time aside.
     """
     ctx = RouteContext(topo, source, req, coeffs)
     rng = random.Random(config.rng_seed)

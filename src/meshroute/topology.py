@@ -9,9 +9,9 @@ its neighboring links.
 
 The graph is held in plain per-node tuples and neighbour-to-link dicts built
 once at construction, and shortest paths come from one heapq Dijkstra over
-dense distance/predecessor lists, cached as compact arrays per source and for
-all gateways together; numpy (used by the generator) is the only third-party
-dependency.
+dense distance/predecessor lists, cached as compact arrays per source tuple:
+one node, or all gateways together.  numpy (used by the generator) is the
+only third-party dependency.
 """
 
 from __future__ import annotations
@@ -50,15 +50,15 @@ class TopologyError(ValueError):
     """Invalid topology parameters or malformed topology data."""
 
 
-class PathExplosionError(RuntimeError):
-    """Simple-path enumeration exceeded its configured cap."""
-
-
 def is_finite(x) -> bool:
     """Whether ``x`` is a finite real number (numpy's too) other than a
-    bool: True is an int, so JSON true would pass as 1."""
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and math.isfinite(x))
+    bool: True is an int, so JSON true would pass as 1.  An int too large
+    for a float is not finite here."""
+    try:
+        return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+                and math.isfinite(x))
+    except OverflowError:
+        return False
 
 
 def interference_factor(channel_separation: int) -> float:
@@ -179,6 +179,14 @@ class TopologyParams:
         return (side, side)
 
 
+def _trace(pred: Sequence[int], node: int) -> list[int]:
+    """``node`` and its predecessors in a Dijkstra tree, back to the root."""
+    path = [node]
+    while pred[path[-1]] != -1:
+        path.append(pred[path[-1]])
+    return path
+
+
 class MeshTopology:
     """Immutable weighted mesh graph with gateways.
 
@@ -226,7 +234,10 @@ class MeshTopology:
             tuple([(v, link.cost) for v, link in t.items()]) for t in table)
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(t)) for t in table)
-        self._dijkstra_cache: dict[int, tuple[array, array]] = {}
+        # Dijkstra trees by source tuple: (node,) for one node's, and the
+        # gateways in ascending id order for theirs.
+        self._trees: dict[tuple[int, ...], tuple[array, array]] = {}
+        self._gateway_key = tuple(sorted(self.gateways))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -259,12 +270,12 @@ class MeshTopology:
     def _dijkstra(self, sources: Iterable[int],
                   avoid: AbstractSet[int] = frozenset(), target: int = -1,
                   ) -> tuple[list[float], list[int]]:
-        """Least link-cost sum from the nearest source to every node, and
-        each node's predecessor on that path (-1 at sources and unreached
-        nodes).  Paths never enter a node in ``avoid``.  Given a ``target``,
-        the search stops once it settles that node: its distance and
-        predecessor chain are then final, while other nodes' entries may
-        not be.
+        """Least link-cost sum from the nearest of the distinct ``sources``
+        to every node, and each node's predecessor on that path (-1 at
+        sources and unreached nodes).  Paths never enter a node in
+        ``avoid``.  Given a ``target``, the search stops once it settles
+        that node: its distance and predecessor chain are then final, while
+        other nodes' entries may not be.
 
         Equal-cost ties break as pinned in tests/test_behaviour_pin.py:
         heap entries are (distance, push counter, node), neighbours are
@@ -278,10 +289,9 @@ class MeshTopology:
         heap: list[tuple[float, int, int]] = []
         pushes = 0
         for s in sources:
-            if dist[s] != 0.0:
-                dist[s] = 0.0
-                heap.append((0.0, pushes, s))
-                pushes += 1
+            dist[s] = 0.0
+            heap.append((0.0, pushes, s))
+            pushes += 1
         adj = self._weighted_adj
         heappush, heappop = heapq.heappush, heapq.heappop
         while heap:
@@ -301,42 +311,32 @@ class MeshTopology:
                     pushes += 1
         return dist, pred
 
-    def _source_dijkstra(self, source: int) -> tuple[array, array]:
+    def _tree(self, sources: tuple[int, ...]) -> tuple[array, array]:
         # Cached trees are flat double/long arrays: a list of distances
         # holds a pointer and a 24-byte float object per node, an array the
         # 8-byte double alone.
-        tree = self._dijkstra_cache.get(source)
+        tree = self._trees.get(sources)
         if tree is None:
-            dist, pred = self._dijkstra((source,))
-            tree = self._dijkstra_cache[source] = (array("d", dist),
-                                                   array("l", pred))
+            dist, pred = self._dijkstra(sources)
+            tree = self._trees[sources] = (array("d", dist), array("l", pred))
         return tree
-
-    @cached_property
-    def _gateway_tree(self) -> tuple[array, array]:
-        # One Dijkstra from all gateways at once; links are undirected, so
-        # each node's predecessors lead back to its nearest gateway.
-        dist, pred = self._dijkstra(sorted(self.gateways))
-        return array("d", dist), array("l", pred)
 
     def gateway_costs(self) -> Sequence[float]:
         """Per node, the least link-cost sum to its nearest gateway, or
         UNREACHABLE; the cached row itself: read it, never modify it."""
-        return self._gateway_tree[0]
+        return self._tree(self._gateway_key)[0]
 
     def gateway_path(self, node: int) -> list[int] | None:
         """A least-cost path from ``node`` to its nearest gateway, or None.
         Equal-cost ties break as in one Dijkstra from the gateways in
-        ascending id order."""
+        ascending id order: links are undirected, so the predecessors in
+        that tree lead back to the nearest gateway."""
         if not self.has_node(node):
             raise TopologyError("unknown node id")
-        dist, pred = self._gateway_tree
+        dist, pred = self._tree(self._gateway_key)
         if dist[node] == UNREACHABLE:
             return None
-        path = [node]
-        while pred[path[-1]] != -1:
-            path.append(pred[path[-1]])
-        return path
+        return _trace(pred, node)
 
     @cached_property
     def trap_links(self) -> tuple[tuple[int, ...], ...]:
@@ -398,14 +398,14 @@ class MeshTopology:
         """Minimal sum of link costs, or the UNREACHABLE marker (inf)."""
         if not (self.has_node(source) and self.has_node(target)):
             raise TopologyError("unknown node id")
-        return self._source_dijkstra(source)[0][target]
+        return self._tree((source,))[0][target]
 
     def shortest_path_costs(self, source: int) -> Sequence[float]:
         """shortest_path_cost from ``source`` to every node, indexed by node
         id.  This is the cached row itself: read it, never modify it."""
         if not self.has_node(source):
             raise TopologyError("unknown node id")
-        return self._source_dijkstra(source)[0]
+        return self._tree((source,))[0]
 
     def shortest_path(self, source: int, target: int,
                       avoid: AbstractSet[int] = frozenset(),
@@ -421,12 +421,10 @@ class MeshTopology:
         if avoid:
             dist, pred = self._dijkstra((source,), avoid, target)
         else:
-            dist, pred = self._source_dijkstra(source)
+            dist, pred = self._tree((source,))
         if dist[target] == UNREACHABLE:
             return None
-        path = [target]
-        while path[-1] != source:
-            path.append(pred[path[-1]])
+        path = _trace(pred, target)
         path.reverse()
         return path
 
@@ -464,7 +462,8 @@ class MeshTopology:
                           d.get("ifactor", 0.0), d.get("synthetic", False))
                      for d in data["links"]]
             return cls(nodes, links, set(data["gateways"]), data["range"])
-        except (KeyError, TypeError) as exc:
+        # OverflowError: math.isfinite on an int too large for a float.
+        except (KeyError, TypeError, OverflowError) as exc:
             raise TopologyError(f"malformed topology document: {exc}") from exc
 
     @classmethod
@@ -472,7 +471,7 @@ class MeshTopology:
         return cls.from_dict(json.loads(text))
 
 
-# -- validation and enumeration -------------------------------------------
+# -- validation ------------------------------------------------------------
 
 def validate_path(topo: MeshTopology, path: list[int],
                   require_gateway: bool = True) -> bool:
@@ -499,50 +498,6 @@ def validate_path(topo: MeshTopology, path: list[int],
     if require_gateway and path[-1] not in topo.gateways:
         return False
     return True
-
-
-def enumerate_simple_paths(topo: MeshTopology, source: int,
-                           destinations: set[int], max_hops: int,
-                           cap: int = 500_000) -> list[list[int]]:
-    """Every simple path from ``source`` ending at any destination.
-
-    Destinations are absorbing: a path stops at the first destination it
-    reaches (a route terminates at its egress), so no returned path crosses
-    one destination on the way to another.  Paths have at most ``max_hops``
-    links, returned in lexicographic order by node sequence; the zero-link
-    path [source] is included when the source is itself a destination.
-    Raises PathExplosionError past ``cap`` paths.
-    """
-    if not topo.has_node(source):
-        raise TopologyError("unknown source node")
-    if not destinations:
-        raise TopologyError("destinations must be non-empty")
-    if max_hops < 1:
-        raise TopologyError("max_hops must be >= 1")
-
-    out: list[list[int]] = []
-    stack = [source]
-    on_path = {source}
-
-    def visit():
-        if stack[-1] in destinations:
-            out.append(list(stack))
-            if len(out) > cap:
-                raise PathExplosionError(
-                    f"simple-path enumeration exceeded cap of {cap} paths")
-            return
-        if len(stack) - 1 >= max_hops:
-            return
-        for nxt in topo.adjacency[stack[-1]]:
-            if nxt in on_path:
-                continue
-            stack.append(nxt)
-            on_path.add(nxt)
-            visit()
-            on_path.discard(stack.pop())
-
-    visit()
-    return out
 
 
 # -- generation ------------------------------------------------------------

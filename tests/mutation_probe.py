@@ -96,6 +96,18 @@ MUTANTS = [
      "src/meshroute/routing.py",
      "p1 if raw1 == p1 else",
      "p1 if raw1 == p2 else"),
+    ("the gateway tree starts from the gateways in set order",
+     "src/meshroute/topology.py",
+     "self._gateway_key = tuple(sorted(self.gateways))",
+     "self._gateway_key = tuple(self.gateways)"),
+    ("is_finite lets an int too large for a float through",
+     "src/meshroute/topology.py",
+     "    except OverflowError:\n        return False",
+     "    except OverflowError:\n        return True"),
+    ("a document's int too large for a float escapes as OverflowError",
+     "src/meshroute/topology.py",
+     "except (KeyError, TypeError, OverflowError) as exc:",
+     "except (KeyError, TypeError) as exc:"),
 ]
 
 # Equivalent edits, not run, each with the reason it cannot be told apart:

@@ -44,7 +44,6 @@ from meshroute.topology import TopologyParams, generate_topology
 from meshroute.qos import (
     PenaltyCoeffs,
     QosRequest,
-    oracle_best,
     path_metrics,
     penalty,
 )
@@ -66,6 +65,7 @@ from meshroute.continuous import (
 from meshroute.cli import ExperimentPlan, default_source, main, run_bench
 
 from conftest import merge_demo_topo
+from oracle import oracle_best
 
 
 REQ = QosRequest(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.0)

@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 from meshroute.topology import MeshTopology, TopologyParams, generate_topology
-from meshroute.qos import PenaltyCoeffs, QosRequest, oracle_best
+from meshroute.qos import PenaltyCoeffs, QosRequest
 from meshroute.routing import HybridConfig, run
 from meshroute.continuous import ContinuousConfig, run_continuous
 from meshroute.cli import ExperimentPlan, default_source, run_bench
 
 from conftest import make_topo
+from oracle import oracle_best
 
 SIZES = (25, 50, 125)
 SEEDS = (0, 1, 2)
@@ -160,6 +161,9 @@ def test_equal_cost_ties_after_round_trip():
 # gateway_path(n) for n = 0..8 on tie_mesh() with gateways 2 and 6.  Nodes
 # 0, 4 and 8 are as near to one as to the other.
 TIE_GATEWAY_PATHS = "012 12 2 36 452 52 6 76 852"
+# The same with gateways 2 and 8, a set that iterates 8 first.  Nodes 3, 4
+# and 5 are as near to one as to the other.
+TIE_GATEWAY_PATHS_2_8 = "012 12 2 3452 452 52 678 78 8"
 
 
 def test_equal_cost_gateway_paths_follow_the_gateway_tree():
@@ -167,9 +171,11 @@ def test_equal_cost_gateway_paths_follow_the_gateway_tree():
     topo = tie_mesh()
     assert [topo.gateway_path(n) for n in range(9)] == [
         topo.shortest_path(8, n)[::-1] for n in range(9)]
-    two = tie_mesh(gateways={2, 6})
-    assert " ".join("".join(map(str, two.gateway_path(n)))
-                    for n in range(9)) == TIE_GATEWAY_PATHS
+    for gateways, paths in (({2, 6}, TIE_GATEWAY_PATHS),
+                            ({2, 8}, TIE_GATEWAY_PATHS_2_8)):
+        two = tie_mesh(gateways=gateways)
+        assert " ".join("".join(map(str, two.gateway_path(n)))
+                        for n in range(9)) == paths
 
 
 @pytest.mark.parametrize("alg", ALGS)

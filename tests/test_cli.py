@@ -9,12 +9,7 @@ from pathlib import Path
 import pytest
 
 from meshroute.topology import MeshTopology
-from meshroute.qos import (
-    FitnessBreakdown,
-    PenaltyCoeffs,
-    QosRequest,
-    oracle_best,
-)
+from meshroute.qos import FitnessBreakdown, PenaltyCoeffs, QosRequest
 from meshroute.routing import RunResult
 from meshroute.simulation import SimResult
 from meshroute import cli
@@ -22,6 +17,7 @@ from meshroute.cli import (ExperimentPlan, default_source, main, run_bench,
                            write_bench_outputs)
 
 from conftest import make_topo
+from oracle import oracle_best
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

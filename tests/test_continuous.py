@@ -46,10 +46,12 @@ class TestConfig:
         dict(bounds=[(-1.0, 1.0)], w=True),
         dict(bounds=[(-1.0, 1.0)], c1=False),
         dict(bounds=[(-1.0, 1.0)], w="a"),
+        # An int too large for a float raised OverflowError.
+        dict(bounds=[(-1.0, 1.0)], w=10**400),
     ], ids=["empty", "lo-equals-hi", "nan", "inf", "minus-inf",
             "no-particles", "no-iterations", "float-swarm", "bool-iterations",
             "negative-seed", "float-seed", "nan-w", "inf-c1", "minus-inf-c2",
-            "bool-w", "bool-c1", "str-w"])
+            "bool-w", "bool-c1", "str-w", "huge-int-w"])
     def test_unrunnable_config_rejected(self, kw):
         with pytest.raises(ValueError):
             ContinuousConfig(**kw)

@@ -17,7 +17,7 @@ ROOT_API = {
     "Link", "MeshTopology", "Node", "TopologyError", "TopologyParams",
     "generate_topology", "validate_path",
     "FitnessBreakdown", "InvalidPathError", "PenaltyCoeffs", "QosRequest",
-    "fitness", "oracle_best",
+    "fitness",
     "HybridConfig", "RunResult", "UnreachableGatewayError", "run",
     "SimResult", "TrafficSpec", "evaluate_routing", "simulate_path",
     "ContinuousConfig", "run_continuous",

@@ -5,18 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshroute.topology import (
-    TopologyParams,
-    enumerate_simple_paths,
-    generate_topology,
-)
+from meshroute.topology import TopologyParams, generate_topology
 from meshroute.qos import (
     InvalidPathError,
     PathMetrics,
     PenaltyCoeffs,
     QosRequest,
     fitness,
-    oracle_best,
     path_metrics,
     penalty,
 )
@@ -25,18 +20,22 @@ from meshroute.routing import (HybridConfig, RouteContext, random_walk_path,
 from meshroute.cli import default_source
 
 from conftest import make_topo, source_for
+from oracle import enumerate_simple_paths, oracle_best
 
 
 REQ = QosRequest(bw_req=5.0, d_req=10.0, j_req=10.0, beta=0.5)
 STRICT = PenaltyCoeffs(1.0, 1.0, 1.0, lam=10.0)
+# An int too large for a float, with a short test id.
+HUGE_INT = pytest.param(10**400, id="10**400")
 
 
 class TestQosRequest:
     @pytest.mark.parametrize("field", ["bw_req", "d_req", "j_req", "beta"])
     # A bool once passed as 1 (a plan's "bw_req": true swept at 1 Mbps),
-    # and a string raised TypeError.
+    # a string raised TypeError and an int too large for a float
+    # OverflowError.
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
-                                       True, "a"])
+                                       True, "a", HUGE_INT])
     def test_non_finite_rejected(self, field, value):
         fields = dict(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.0)
         with pytest.raises(ValueError):
@@ -46,7 +45,7 @@ class TestQosRequest:
 class TestPenaltyCoeffs:
     @pytest.mark.parametrize("field", ["eta1", "eta2", "eta3", "lam"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
-                                       True, "a"])
+                                       True, "a", HUGE_INT])
     def test_non_finite_rejected(self, field, value):
         fields = dict(eta1=1.0, eta2=1.0, eta3=1.0, lam=1.0)
         with pytest.raises(ValueError):

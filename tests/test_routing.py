@@ -9,13 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshroute.topology import (
-    TopologyParams,
-    enumerate_simple_paths,
-    generate_topology,
-    validate_path,
-)
-from meshroute.qos import PenaltyCoeffs, QosRequest, oracle_best
+from meshroute.topology import TopologyParams, generate_topology, validate_path
+from meshroute.qos import PenaltyCoeffs, QosRequest
 from meshroute.routing import (
     HybridConfig,
     Particle,
@@ -38,6 +33,7 @@ from meshroute.cli import default_source
 
 from conftest import (brute_force_trap_links, make_topo, merge_demo_topo,
                       source_for)
+from oracle import enumerate_simple_paths, oracle_best
 from test_behaviour_pin import (SEARCH_PERCENTILES, SEARCH_REQ, SEARCH_SIZES,
                                 SEEDS, tie_mesh)
 

@@ -21,7 +21,6 @@ from meshroute.topology import (
     Link,
     MeshTopology,
     Node,
-    PathExplosionError,
     TopologyError,
     TopologyParams,
     UNREACHABLE,
@@ -29,7 +28,6 @@ from meshroute.topology import (
     _distances,
     _pick_gateways,
     _worst_interference,
-    enumerate_simple_paths,
     generate_topology,
     interference_factor,
     validate_path,
@@ -40,6 +38,7 @@ from meshroute.cli import default_source
 
 from conftest import (LINK_DEFAULTS, brute_force_trap_links, make_topo,
                       source_for)
+from oracle import PathExplosionError, enumerate_simple_paths
 from test_behaviour_pin import tie_mesh
 
 
@@ -264,9 +263,11 @@ class TestGeneration:
         with pytest.raises(TopologyError):
             TopologyParams(**{"node_count": 25, **bad})
 
-    # True once passed as a 1 m range; "a" raised TypeError.
+    # True once passed as a 1 m range; "a" raised TypeError and 10**400
+    # OverflowError.
     @pytest.mark.parametrize("reach", [0.0, -250.0, math.nan, math.inf,
-                                       True, "a"])
+                                       True, "a",
+                                       pytest.param(10**400, id="10**400")])
     def test_bad_transmission_range_rejected(self, reach):
         with pytest.raises(TopologyError):
             TopologyParams(node_count=5, transmission_range=reach)
@@ -708,7 +709,13 @@ class TestLinkValidation:
                                               ("cost", True),
                                               ("ifactor", False),
                                               ("synthetic", "no"),
-                                              ("synthetic", 0)])
+                                              ("synthetic", 0),
+                                              # These raised OverflowError.
+                                              *(pytest.param(
+                                                  field, 10**400,
+                                                  id=f"{field}-10**400")
+                                                for field in ("x", "cost",
+                                                              "range"))])
     def test_rejected_when_loaded(self, field, value):
         # Link fields edit the first link; node fields edit node 1.  True ==
         # 1, so a bool passes every range check unless it is rejected as such.
