@@ -24,7 +24,8 @@ from dataclasses import dataclass, field, replace
 from .qos import PenaltyCoeffs, QosRequest
 from .routing import ALGORITHMS, HybridConfig, RunResult, run
 from .simulation import SimResult, TrafficSpec, simulate_path
-from .topology import MeshTopology, TopologyError, TopologyParams, generate_topology
+from .topology import (MeshTopology, TopologyError, TopologyParams,
+                       generate_topology, is_finite)
 
 DEFAULT_SIZES = [25, 50, 75, 100, 125]
 
@@ -103,6 +104,8 @@ def default_source(topo: MeshTopology, percentile: float = 0.25) -> int:
     difficulty of the routing problem scales with network size instead of
     depending on which node happened to be labelled first.
     """
+    if not is_finite(percentile):  # no bools, strings or None
+        raise ValueError("percentile must be a finite number")
     if not 0.0 <= percentile < 1.0:
         raise ValueError("percentile outside [0, 1)")
     cost = topo.gateway_costs()

@@ -103,21 +103,29 @@ def path_metrics(topo: MeshTopology, path: list[int]) -> PathMetrics:
 
     Cost, delay and jitter are additive; bandwidth is the bottleneck minimum;
     interference is the mean link i_factor so it stays in [0, 1] regardless
-    of hop count.
+    of hop count.  The sums start from the int 0 and add left to right, the
+    order ``sum()`` keeps up to Python 3.11 (3.12 compensates float sums),
+    so a route scores the same on every version; of equal bandwidths the
+    first is kept, as ``min()`` does.
     """
     if not validate_path(topo, path, require_gateway=False):
         raise InvalidPathError(f"not a simple connected path: {path}")
-    table = topo.link_table
-    links = [table[u][v] for u, v in zip(path, path[1:])]
-    if not links:
+    hops = len(path) - 1
+    if not hops:
         return PathMetrics(0.0, NO_LINK_BANDWIDTH, 0.0, 0.0, 0.0)
-    return PathMetrics(
-        cost=sum([l.cost for l in links]),
-        min_bw=min([l.bandwidth for l in links]),
-        total_delay=sum([l.delay for l in links]),
-        total_jitter=sum([l.jitter for l in links]),
-        interference=sum([l.i_factor for l in links]) / len(links),
-    )
+    table = topo.link_table
+    # One pass, not a list per weight (see random_walk_path in routing).
+    cost = delay = jitter = i_sum = 0
+    min_bw = NO_LINK_BANDWIDTH
+    for u, v in zip(path, path[1:]):
+        link = table[u][v]
+        cost += link.cost
+        if link.bandwidth < min_bw:
+            min_bw = link.bandwidth
+        delay += link.delay
+        jitter += link.jitter
+        i_sum += link.i_factor
+    return PathMetrics(cost, min_bw, delay, jitter, i_sum / hops)
 
 
 def penalty(metrics: PathMetrics, req: QosRequest,

@@ -211,7 +211,13 @@ def random_walk_path(ctx: RouteContext, rng: random.Random) -> list[int]:
         visited[source] = 1
         node = source
         while True:
-            options = [v for v in adjacency[node] if not visited[v]]
+            # A plain loop, not a comprehension: up to CPython 3.11 each
+            # comprehension is a call with its own frame (PEP 709 inlines
+            # them from 3.12), and this runs once per step.
+            options = []
+            for v in adjacency[node]:
+                if not visited[v]:
+                    options.append(v)
             n = len(options)
             if not n:
                 break
@@ -254,12 +260,14 @@ def combine_paths(current: list[int], other: list[int], ctx: RouteContext,
     """
     cost = ctx.source_costs
     out = list(current)
+    replaced = False
     limit = min(len(current), len(other)) - 1
     for k in range(1, limit):
         if replace_prob >= 1.0 or rng.random() < replace_prob:
             if cost[other[k]] < cost[out[k]]:
                 out[k] = other[k]
-    return remove_loops(out)
+                replaced = True
+    return remove_loops(out) if replaced else out
 
 
 def oplus_update(particle: Particle, gbest_path: list[int], ctx: RouteContext,

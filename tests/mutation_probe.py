@@ -3,8 +3,9 @@
 Each mutant is one small source edit that a test should notice.  For each,
 the probe copies the repository into a temporary directory, applies the
 edit there, runs the test suite minus criterion 4 (a wall-clock check that
-can fail on unchanged code), and prints ``killed`` with the first failing
-test or ``survived``.  The working tree is never modified.
+can fail on unchanged code), pins first and acceptance tests last, and
+prints ``killed`` with the first failing test or ``survived``.  The working
+tree is never modified.
 
 Run from the repository root:  python3 tests/mutation_probe.py
 
@@ -108,6 +109,26 @@ MUTANTS = [
      "src/meshroute/topology.py",
      "except (KeyError, TypeError, OverflowError) as exc:",
      "except (KeyError, TypeError) as exc:"),
+    ("the merge never sets its replaced flag, so loops stay",
+     "src/meshroute/routing.py",
+     "replaced = True",
+     "replaced = False"),
+    ("the interference mean divides by the node count",
+     "src/meshroute/qos.py",
+     "i_sum / hops",
+     "i_sum / len(path)"),
+    ("the bandwidth minimum keeps the last of equal values",
+     "src/meshroute/qos.py",
+     "if link.bandwidth < min_bw:",
+     "if link.bandwidth <= min_bw:"),
+    ("the walk lists a step's options in reverse",
+     "src/meshroute/routing.py",
+     "options.append(v)",
+     "options.insert(0, v)"),
+    ("crossover takes its share worst first",
+     "src/meshroute/routing.py",
+     "ga_set = [p for p in rest if",
+     "ga_set = [p for p in reversed(rest) if"),
 ]
 
 # Equivalent edits, not run, each with the reason it cannot be told apart:
@@ -127,6 +148,18 @@ def apply(copy: Path, rel: str, original: str, mutated: str) -> None:
     path.write_text(text.replace(original, mutated))
 
 
+def ordered_test_files(root: Path) -> list[str]:
+    """Every test file, the pins first and the acceptance gate last.
+
+    Most mutants first fail a pin, and ``-x`` stops at the first failure,
+    so the slow acceptance tests run only for mutants nothing else kills.
+    """
+    order = {"test_behaviour_pin.py": 0, "test_acceptance.py": 2}
+    files = sorted((order.get(p.name, 1), p.name)
+                   for p in (root / "tests").glob("test_*.py"))
+    return [f"tests/{name}" for _, name in files]
+
+
 def probe(name: str, rel: str, original: str, mutated: str) -> str:
     with tempfile.TemporaryDirectory(prefix="meshroute-mutant-") as tmp:
         copy = Path(tmp) / "repo"
@@ -135,7 +168,8 @@ def probe(name: str, rel: str, original: str, mutated: str) -> str:
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
         out = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", "-k", "not criterion_4"],
+             "no:cacheprovider", "-k", "not criterion_4",
+             *ordered_test_files(copy)],
             cwd=copy, env=env, capture_output=True, text=True)
     if out.returncode == 0:
         return "survived"

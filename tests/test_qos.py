@@ -1,6 +1,9 @@
+import functools
 import json
 import math
+import operator
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +30,35 @@ REQ = QosRequest(bw_req=5.0, d_req=10.0, j_req=10.0, beta=0.5)
 STRICT = PenaltyCoeffs(1.0, 1.0, 1.0, lam=10.0)
 # An int too large for a float, with a short test id.
 HUGE_INT = pytest.param(10**400, id="10**400")
+
+
+def plain_sum(xs):
+    """sum() as it adds up to Python 3.11: from the int 0, left to right,
+    with no compensation (3.12 compensates float sums)."""
+    return functools.reduce(operator.add, xs, 0)
+
+
+def reference_path_metrics(topo, path):
+    """path_metrics as written before its one-pass loop: a list per weight,
+    summed in the 3.11 order and reduced with min(); path_metrics must give
+    the same value and type in every field."""
+    table = topo.link_table
+    links = [table[u][v] for u, v in zip(path, path[1:])]
+    if not links:
+        return PathMetrics(0.0, math.inf, 0.0, 0.0, 0.0)
+    return PathMetrics(
+        cost=plain_sum([l.cost for l in links]),
+        min_bw=min([l.bandwidth for l in links]),
+        total_delay=plain_sum([l.delay for l in links]),
+        total_jitter=plain_sum([l.jitter for l in links]),
+        interference=plain_sum([l.i_factor for l in links]) / len(links),
+    )
+
+
+def same_metrics(got, expected):
+    """Field for field, value and type: 5 == 5.0 but serializes apart."""
+    fields = list(zip(astuple(got), astuple(expected)))
+    return all(a == b and type(a) is type(b) for a, b in fields)
 
 
 class TestQosRequest:
@@ -76,6 +108,37 @@ class TestPathMetrics:
     def test_invalid_path_rejected(self, triangle):
         with pytest.raises(InvalidPathError):
             path_metrics(triangle, [0, 0, 2])
+
+    @pytest.mark.parametrize("node_count", [25, 125, 200])
+    def test_one_pass_matches_the_list_scorer(self, node_count):
+        topo = generate_topology(TopologyParams(node_count=node_count,
+                                                rng_seed=node_count))
+        routes = [topo.gateway_path(n) for n in range(topo.node_count)]
+        routes = [r for r in routes if r is not None]
+        ctx = RouteContext(topo, source_for(topo), REQ,
+                           PenaltyCoeffs.for_request(REQ, topo))
+        rng = random.Random(node_count)
+        routes += [random_walk_path(ctx, rng) for _ in range(100)]
+        assert max(map(len, routes)) >= 8
+        for route in routes:
+            assert same_metrics(path_metrics(topo, route),
+                                reference_path_metrics(topo, route))
+
+    def test_int_weights_sum_as_ints(self):
+        # A document may give weights as JSON integers; sum() kept them
+        # ints until a float joined, and so does the one-pass loop.
+        topo = make_topo(4, {
+            (0, 1): {"cost": 3, "delay": 1, "jitter": 0, "i_factor": 0},
+            (1, 2): {"cost": 4, "delay": 2, "jitter": 1, "i_factor": 1},
+            (2, 3): {"cost": 0.5, "delay": 2, "bandwidth": 11},
+        }, gateways={3})
+        for route in ([0, 1], [0, 1, 2], [0, 1, 2, 3], [3, 2, 1], [2]):
+            got = path_metrics(topo, route)
+            assert same_metrics(got, reference_path_metrics(topo, route))
+        assert type(path_metrics(topo, [0, 1, 2]).cost) is int
+        # Of equal bandwidths, the first link's: 11.0, not the int 11.
+        assert type(path_metrics(topo, [0, 1, 2, 3]).min_bw) is float
+        assert type(path_metrics(topo, [3, 2, 1]).min_bw) is int
 
 
 class TestPenalty:

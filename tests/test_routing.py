@@ -126,6 +126,20 @@ def reference_remove_loops(seq):
         out = out[: lo + 1] + out[hi + 1:]
 
 
+def reference_combine_paths(current, other, ctx, replace_prob, rng):
+    """The merge as written before it tracked replacements, excising loops
+    from every merged route, as (merged route, excised route); the
+    solver's merge must return an equal route and leave the same RNG
+    state."""
+    cost = ctx.source_costs
+    out = list(current)
+    for k in range(1, min(len(current), len(other)) - 1):
+        if replace_prob >= 1.0 or rng.random() < replace_prob:
+            if cost[other[k]] < cost[out[k]]:
+                out[k] = other[k]
+    return out, reference_remove_loops(out)
+
+
 def reference_oplus_update(particle, gbest_path, ctx, rng):
     """The PSO update as first written, repairing every merged route, as
     (merged route, repaired route); the solver's update must return an
@@ -269,6 +283,27 @@ class TestCombine:
             assert rng.getstate() == ref_rng.getstate()
             moved += out != path
         assert moved
+
+    @pytest.mark.parametrize("node_count", [25, 125])
+    def test_merge_matches_the_always_excising_merge(self, node_count):
+        topo = generate_topology(TopologyParams(node_count=node_count,
+                                                rng_seed=1))
+        ctx = ctx_for(topo, default_source(topo, 0.75))
+        rng = random.Random(node_count)
+        routes = [routing.random_walk_path(ctx, rng) for _ in range(30)]
+        looped = 0
+        for current, other in itertools.product(routes[:15], routes[15:]):
+            for prob in (1.0, 0.5):
+                state = rng.getstate()
+                ref_rng = random.Random()
+                ref_rng.setstate(state)
+                out = combine_paths(current, other, ctx, prob, rng)
+                merged, expected = reference_combine_paths(
+                    current, other, ctx, prob, ref_rng)
+                assert out == expected
+                assert rng.getstate() == ref_rng.getstate()
+                looped += merged != expected
+        assert looped
 
     def test_loop_excision(self):
         assert remove_loops([1, 2, 3, 2, 5]) == [1, 2, 5]

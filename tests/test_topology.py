@@ -539,14 +539,17 @@ class TestMultiSourceCosts:
                                  for g in topo.gateways), n)
                             for n in range(topo.node_count)
                             if n not in topo.gateways)
-            for p in (0.0, 0.25, 0.5, 0.95):
+            for p in (0, 0.0, 0.25, np.float64(0.5), 0.95):
                 assert default_source(topo, p) == \
                     ranked[int(len(ranked) * p)][1]
 
-    @pytest.mark.parametrize("percentile", [-0.1, 1.0, 1.5, math.nan])
+    @pytest.mark.parametrize("percentile", [
+        -0.1, 1.0, 1.5, math.nan, math.inf, -math.inf, False, True, "0.5",
+        None, 0.5j, pytest.param(10**400, id="10**400")])
     def test_default_source_percentile_outside_unit_interval_rejected(
             self, percentile):
         # -0.1 used to index from the end of the ranking, 1.0 past it.
+        # False ranked as 0.0; "0.5", None and 0.5j escaped as TypeError.
         topo = generate_topology(TopologyParams(node_count=50, rng_seed=0))
         with pytest.raises(ValueError, match="percentile"):
             default_source(topo, percentile)
