@@ -362,18 +362,16 @@ def dedupe(swarm: list[Particle], ctx: RouteContext,
     for particle in swarm:
         key = tuple(particle.path)
         if key in seen:
-            fresh = random_walk_path(ctx, rng)
-            for _ in range(retries):
-                if tuple(fresh) not in seen:
+            for _ in range(retries + 1):
+                path = random_walk_path(ctx, rng)
+                key = tuple(path)
+                if key not in seen:
                     break
-                fresh = random_walk_path(ctx, rng)
-            if tuple(fresh) in seen:
+            else:
                 retries = 0
-            out.append(_fresh(fresh, ctx))
-            seen.add(tuple(fresh))
-        else:
-            seen.add(key)
-            out.append(particle)
+            particle = _fresh(path, ctx)
+        seen.add(key)
+        out.append(particle)
     return out
 
 

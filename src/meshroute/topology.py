@@ -621,35 +621,33 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
 
     # Stitch components until connected: each round links the component of
     # node 0 to its nearest other node, ties going to the other component
-    # with the lowest node id, then the lowest u, then the lowest v.
-    parent = list(range(n))
+    # with the lowest node id, then the lowest u, then the lowest v.  Each
+    # union makes the lower root the parent, so every component is labelled
+    # by its lowest node id.  A round adds one whole other component to node
+    # 0's and no two others ever merge, so the labels are taken once.
+    low = list(range(n))
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        while low[x] != x:
+            low[x] = low[low[x]]
+            x = low[x]
         return x
 
     for u, v, *_ in drawn:
-        parent[find(u)] = find(v)
-    while True:
-        roots = np.array([find(i) for i in range(n)])
-        in_base = roots == roots[0]
-        if in_base.all():
-            break
-        # Lowest node id of each component, indexed by its root.
-        lowest = np.full(n, n)
-        np.minimum.at(lowest, roots, np.arange(n))
+        a, b = find(u), find(v)
+        low[max(a, b)] = min(a, b)
+    component = np.array([find(i) for i in range(n)])
+    in_base = component == 0
+    while not in_base.all():
         base, other = np.flatnonzero(in_base), np.flatnonzero(~in_base)
         block = distance[np.ix_(base, other)]
         rows, cols = np.nonzero(block <= block.min() * _SLACK)
         _, _, u, v = min((math.dist(points[base[i]], points[other[j]]),
-                          int(lowest[roots[other[j]]]), int(base[i]),
+                          int(component[other[j]]), int(base[i]),
                           int(other[j]))
                          for i, j in zip(rows, cols))
-        u, v = min(u, v), max(u, v)
-        draw_link(u, v, synthetic=True)
-        parent[find(u)] = find(v)
+        in_base |= component == component[v]
+        draw_link(min(u, v), max(u, v), synthetic=True)
 
     links = [Link(u, v, channel, cost, BANDWIDTH, delay, jitter, loss,
                   i_factor, synthetic)

@@ -4,8 +4,9 @@ Each mutant is one small source edit that a test should notice.  For each,
 the probe copies the repository into a temporary directory, applies the
 edit there, runs the test suite minus criterion 4 (a wall-clock check that
 can fail on unchanged code), pins first and acceptance tests last, and
-prints ``killed`` with the first failing test or ``survived``.  The working
-tree is never modified.
+prints ``killed`` with the first failing test, ``timed out`` once the run
+passes TIMEOUT_S, or ``survived``.  The exit status is non-zero if any
+mutant survived or timed out.  The working tree is never modified.
 
 Run from the repository root:  python3 tests/mutation_probe.py
 
@@ -19,9 +20,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Seconds one mutant's test run may take; an unmutated run takes under a
+# minute, so a mutant that outlasts this never ends and is cut off.
+TIMEOUT_S = 300
 
 # (name, file, original text, mutated text); the original must occur once.
 MUTANTS = [
@@ -129,6 +135,14 @@ MUTANTS = [
      "src/meshroute/routing.py",
      "ga_set = [p for p in rest if",
      "ga_set = [p for p in reversed(rest) if"),
+    ("components are labelled by their highest id",
+     "src/meshroute/topology.py",
+     "low[max(a, b)] = min(a, b)",
+     "low[min(a, b)] = max(a, b)"),
+    ("a duplicate draws one walk fewer",
+     "src/meshroute/routing.py",
+     "range(retries + 1)",
+     "range(retries)"),
 ]
 
 # Equivalent edits, not run, each with the reason it cannot be told apart:
@@ -166,11 +180,15 @@ def probe(name: str, rel: str, original: str, mutated: str) -> str:
         shutil.copytree(ROOT, copy, ignore=IGNORE)
         apply(copy, rel, original, mutated)
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
-        out = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", "-k", "not criterion_4",
-             *ordered_test_files(copy)],
-            cwd=copy, env=env, capture_output=True, text=True)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+                 "no:cacheprovider", "-k", "not criterion_4",
+                 *ordered_test_files(copy)],
+                cwd=copy, env=env, capture_output=True, text=True,
+                timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return f"timed out after {TIMEOUT_S} s"
     if out.returncode == 0:
         return "survived"
     if out.returncode != 1:
@@ -181,13 +199,16 @@ def probe(name: str, rel: str, original: str, mutated: str) -> str:
 
 
 def main() -> int:
-    survivors = 0
+    kinds = ("killed", "timed out", "survived", "error")
+    counts = Counter()
     for name, rel, original, mutated in MUTANTS:
         verdict = probe(name, rel, original, mutated)
-        survivors += verdict == "survived"
+        counts[next(k for k in kinds if verdict.startswith(k))] += 1
         print(f"{name}: {verdict}", flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
-    return 1 if survivors else 0
+    print(f"{counts['killed']} killed, {counts['timed out']} timed out, "
+          f"{counts['survived']} survived and {counts['error']} errors "
+          f"of {len(MUTANTS)} mutants")
+    return 1 if counts["survived"] or counts["timed out"] else 0
 
 
 if __name__ == "__main__":

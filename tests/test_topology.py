@@ -342,6 +342,17 @@ class TestGeneratorMatchesReference:
             assert len(synthetic) >= 20
             self.assert_same_mesh(params)
 
+    @pytest.mark.parametrize("params, synthetic_links", [
+        (TopologyParams(1000, rng_seed=0), 36),
+        (TopologyParams(1000, rng_seed=1), 32),
+        (TopologyParams(300, area=(12000.0, 12000.0), rng_seed=0), 231),
+        (TopologyParams(500, transmission_range=120.0, rng_seed=0), 293),
+    ])
+    def test_many_round_stitching(self, params, synthetic_links):
+        synthetic = [l for l in generate_topology(params).links if l.synthetic]
+        assert len(synthetic) == synthetic_links
+        self.assert_same_mesh(params)
+
     def test_long_range_dense_mesh(self):
         for seed in range(2):
             params = TopologyParams(60, transmission_range=5000.0,
