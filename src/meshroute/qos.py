@@ -4,6 +4,10 @@ A route is scored as F = f + lambda * p where f is the summed link cost and
 p penalizes violations of the bandwidth floor, delay bound, jitter bound,
 and interference ceiling.  Feasible routes have p = 0, so minimizing F over
 feasible routes is exactly minimizing cost.
+
+Sums here, and the path delay in ``simulation``, start from the int 0 and
+add left to right, the order ``sum()`` keeps up to Python 3.11 (3.12
+compensates float sums), so a route scores the same on every version.
 """
 
 from __future__ import annotations
@@ -103,10 +107,8 @@ def path_metrics(topo: MeshTopology, path: list[int]) -> PathMetrics:
 
     Cost, delay and jitter are additive; bandwidth is the bottleneck minimum;
     interference is the mean link i_factor so it stays in [0, 1] regardless
-    of hop count.  The sums start from the int 0 and add left to right, the
-    order ``sum()`` keeps up to Python 3.11 (3.12 compensates float sums),
-    so a route scores the same on every version; of equal bandwidths the
-    first is kept, as ``min()`` does.
+    of hop count.  Sums add in a fixed order (see the module docstring); of
+    equal bandwidths the first is kept, as ``min()`` does.
     """
     if not validate_path(topo, path, require_gateway=False):
         raise InvalidPathError(f"not a simple connected path: {path}")
@@ -141,7 +143,10 @@ def penalty(metrics: PathMetrics, req: QosRequest,
         "jitter": coeffs.eta3 * max(metrics.total_jitter - req.j_req, 0.0),
         "interference": max(metrics.interference - (1.0 - req.beta), 0.0),
     }
-    return sum(terms.values()), terms
+    p = 0
+    for term in terms.values():
+        p += term
+    return p, terms
 
 
 def fitness(topo: MeshTopology, path: list[int], req: QosRequest,

@@ -59,7 +59,9 @@ def simulate_path(topo: MeshTopology, path: list[int],
                          packet_count=n)
 
     loss = np.array([l.loss_prob for l in links])
-    base_delay = float(sum(l.delay for l in links))
+    base_delay = 0  # from the int 0, left to right (see qos's docstring)
+    for link in links:
+        base_delay += link.delay
     jitter = np.array([l.jitter for l in links])
 
     delivered = (rng.random((n, len(links))) >= loss).all(axis=1)
@@ -67,7 +69,7 @@ def simulate_path(topo: MeshTopology, path: list[int],
     # in place by the link's jitter; delays are kept for delivered packets.
     jitter_samples = rng.random((n, len(links)))
     jitter_samples *= jitter
-    delays = base_delay + jitter_samples.sum(axis=1)[delivered]
+    delays = float(base_delay) + jitter_samples.sum(axis=1)[delivered]
 
     count = len(delays)
     avg = float(delays.mean()) if count else math.nan

@@ -1,3 +1,6 @@
+import functools
+import math
+import operator
 from collections import deque
 
 import pytest
@@ -7,6 +10,34 @@ from meshroute import Link, MeshTopology, Node
 
 LINK_DEFAULTS = dict(channel=1, cost=2.0, bandwidth=11.0, delay=1.0,
                      jitter=0.5, loss_prob=0.01, i_factor=0.0)
+
+
+# Fields of a run, and columns of the bench tables, that time it and so
+# differ between identical reruns.
+WALL_FIELDS = ("wall_time_ms", "time_to_best_ms", "iteration_times_ms",
+               "median_time_to_best_ms")
+
+
+def without_wall_times(d):
+    return {k: v for k, v in d.items() if k not in WALL_FIELDS}
+
+
+def plain_sum(xs):
+    """sum() as it adds up to Python 3.11: from the int 0, left to right,
+    with no compensation (3.12 compensates float sums)."""
+    return functools.reduce(operator.add, xs, 0)
+
+
+def compensated_sum(xs):
+    """sum() as Python 3.12 adds floats (CPython's builtin_sum_impl): each
+    addition's rounding error is kept, Neumaier's way, and added back at
+    the end."""
+    total, error = 0, 0.0
+    for x in xs:
+        t = total + x
+        error += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + error if error and math.isfinite(error) else total
 
 
 def make_topo(n, edges, gateways, transmission_range=10_000.0):

@@ -143,6 +143,14 @@ MUTANTS = [
      "src/meshroute/routing.py",
      "range(retries + 1)",
      "range(retries)"),
+    ("penalty adds its terms in reverse order",
+     "src/meshroute/qos.py",
+     "for term in terms.values():",
+     "for term in reversed(terms.values()):"),
+    ("simulate_path sums link delays in reverse order",
+     "src/meshroute/simulation.py",
+     "for link in links:",
+     "for link in reversed(links):"),
 ]
 
 # Equivalent edits, not run, each with the reason it cannot be told apart:

@@ -4,12 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v``; every criterion is a single
 test whose pass/fail status is the verdict, with the measured numbers printed
 on one line.
 
-Shared benchmark protocol (used by criteria 3-5): topologies are generated
-with seed i, the source is the non-gateway node at the 25th percentile of
-distance-to-nearest-gateway (see ``meshroute.cli.default_source``), the
-request is (bw 5.0, delay 10.0, jitter 2.5, beta 0.0) under the
-``PenaltyCoeffs.for_request`` coefficients, solver seeds are 100000+i and
-traffic seeds 200000+i.
+Shared benchmark protocol (used by criteria 3-5): every instance is solved
+by the bench's ``meshroute.cli.run_cell`` on a plan below, ``SWEEP`` for
+criteria 4 and 5 and ``CONVERGENCE`` for criterion 3, so ``meshroute bench
+--seeds 10`` and ``meshroute bench --sizes 50 --seeds 30`` (each with an
+``--out-dir``) replay them.
 
 Criteria 3 and 4 score convergence by attainment: the iteration (or elapsed
 time) at which a run's incumbent first reaches the instance's best-known
@@ -62,15 +61,17 @@ from meshroute.continuous import (
     pso_step,
     run_continuous,
 )
-from meshroute.cli import ExperimentPlan, default_source, main, run_bench
+from meshroute.cli import (ExperimentPlan, default_source, main, run_bench,
+                           run_cell)
 
-from conftest import merge_demo_topo
+from conftest import merge_demo_topo, without_wall_times
 from oracle import oracle_best
 
 
-REQ = QosRequest(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.0)
+SWEEP = ExperimentPlan(seeds_per_cell=10)
+CONVERGENCE = ExperimentPlan(node_sizes=[50], seeds_per_cell=30)
+REQ = SWEEP.request()
 ALGS = ("pso", "ga", "hybrid")
-SIZES = (25, 50, 75, 100, 125)
 TOL = 1e-9
 
 
@@ -79,32 +80,12 @@ def verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def solve_instance(size: int, i: int, with_sim: bool = False):
-    """One benchmark instance solved by all three algorithms."""
-    topo = generate_topology(TopologyParams(node_count=size, rng_seed=i))
-    source = default_source(topo)
-    coeffs = PenaltyCoeffs.for_request(REQ, topo)
-    # Shortest paths are computed per source on first use and cached on the
-    # topology, so the first run would pay for the ones all three share.
-    # Compute them for every node up front.
-    for n in range(topo.node_count):
-        topo.shortest_path_cost(n, n)
-    # Cyclic GC off while solving, as timeit does: a collection scans the
-    # whole test process's heap, so a pause landing in a run would be timed
-    # as part of the solve.
-    gc.disable()
-    try:
-        results = {alg: run(topo, source, REQ, coeffs,
-                            HybridConfig(rng_seed=100_000 + i, algorithm=alg))
-                   for alg in ALGS}
-    finally:
-        gc.enable()
-    sims = None
-    if with_sim:
-        traffic = TrafficSpec(10_000, seed=200_000 + i)
-        sims = {alg: simulate_path(topo, results[alg].best_path, traffic)
-                for alg in ALGS}
-    return results, sims
+def solve(size: int, i: int, plan: ExperimentPlan):
+    """Instance i of the plan at this size, from the bench's ``run_cell``,
+    as ({algorithm: RunResult}, {algorithm: SimResult})."""
+    runs = run_cell(size, i, plan)
+    return ({key[1]: r for key, r, _ in runs},
+            {key[1]: sim for key, _, sim in runs})
 
 
 def attainment_iter(result, best_known: float) -> int:
@@ -140,9 +121,28 @@ def attainment_times_ms(results, best_known: float) -> dict:
 
 @pytest.fixture(scope="module")
 def sweep():
-    """10 instances per size, all algorithms, with traffic simulation."""
-    return {size: [solve_instance(size, i, with_sim=True) for i in range(10)]
-            for size in SIZES}
+    """SWEEP's instances by size.  For criterion 4's timing, each mesh gets
+    every shortest-path tree as it is generated, as the first run would
+    otherwise pay for the cached trees all three share, and cyclic GC is
+    off while an instance is solved, as timeit does, so no collection of
+    the whole test process's heap is timed as part of a solve."""
+    def warmed(params):
+        topo = generate_topology(params)
+        for n in range(topo.node_count):
+            topo.shortest_path_costs(n)
+        return topo
+
+    instances = {size: [] for size in SWEEP.node_sizes}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("meshroute.cli.generate_topology", warmed)
+        for size, solved in instances.items():
+            for i in range(SWEEP.seeds_per_cell):
+                gc.disable()
+                try:
+                    solved.append(solve(size, i, SWEEP))
+                finally:
+                    gc.enable()
+    return instances
 
 
 def _walk_pool(topo_seeds, walks_per_topo, walk_seed):
@@ -195,21 +195,22 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_convergence_iteration_dominance():
     iters = {alg: [] for alg in ALGS}
-    for i in range(30):
-        results, _ = solve_instance(50, i)
+    (size,) = CONVERGENCE.node_sizes
+    for i in range(CONVERGENCE.seeds_per_cell):
+        results, _ = solve(size, i, CONVERGENCE)
         best_known = min(r.best_fitness.total for r in results.values())
         for alg in ALGS:
             iters[alg].append(attainment_iter(results[alg], best_known))
     medians = {alg: statistics.median(v) for alg, v in iters.items()}
     ok = (medians["hybrid"] <= medians["pso"]
           and medians["hybrid"] <= medians["ga"])
-    verdict(3, ok, f"median attainment iterations at 50 nodes, "
-                   f"30 seeds: {medians}")
+    verdict(3, ok, f"median attainment iterations at {size} nodes, "
+                   f"{CONVERGENCE.seeds_per_cell} seeds: {medians}")
 
 
 def test_criterion_4_convergence_time_scaling(sweep):
     medians = {alg: [] for alg in ALGS}
-    for size in SIZES:
+    for size in SWEEP.node_sizes:
         per_alg = {alg: [] for alg in ALGS}
         for results, _ in sweep[size]:
             best_known = min(r.best_fitness.total for r in results.values())
@@ -224,8 +225,8 @@ def test_criterion_4_convergence_time_scaling(sweep):
                 for alg, m in medians.items()}
     ok = dominated and all(monotone.values())
     pretty = {alg: [round(v, 2) for v in m] for alg, m in medians.items()}
-    verdict(4, ok, f"median attainment ms per size {list(SIZES)}: {pretty}, "
-                   f"monotone={monotone}")
+    verdict(4, ok, f"median attainment ms per size {SWEEP.node_sizes}: "
+                   f"{pretty}, monotone={monotone}")
 
 
 def _rounded(values: dict, digits: int) -> dict:
@@ -247,7 +248,7 @@ def test_criterion_5_delivery_dominance(sweep):
     failures = []
     per_size = []
     pdr_100 = None
-    for size in SIZES:
+    for size in SWEEP.node_sizes:
         qos_routes = {alg: sum(r[alg].best_fitness.feasible
                                for r, _ in sweep[size]) for alg in ALGS}
         sims = [s for _, s in sweep[size]]
@@ -352,21 +353,14 @@ def test_criterion_8_continuous_sanity():
                    f"x^2 runs below 1e-6: {converged}/10")
 
 
-WALL_FIELDS = ("wall_time_ms", "time_to_best_ms", "iteration_times_ms")
-
-
-def _strip_wall(d: dict) -> dict:
-    return {k: v for k, v in d.items() if k not in WALL_FIELDS}
-
-
 def test_criterion_9_determinism(tmp_path, capsys):
     topo = generate_topology(TopologyParams(node_count=30, rng_seed=9))
     source = default_source(topo)
     coeffs = PenaltyCoeffs.for_request(REQ, topo)
     solver_ok = all(
-        _strip_wall(run(topo, source, REQ, coeffs,
+        without_wall_times(run(topo, source, REQ, coeffs,
                         HybridConfig(rng_seed=9, algorithm=alg)).to_dict())
-        == _strip_wall(run(topo, source, REQ, coeffs,
+        == without_wall_times(run(topo, source, REQ, coeffs,
                            HybridConfig(rng_seed=9, algorithm=alg)).to_dict())
         for alg in ALGS)
     best = run(topo, source, REQ, coeffs, HybridConfig(rng_seed=9)).best_path
@@ -383,7 +377,8 @@ def test_criterion_9_determinism(tmp_path, capsys):
     route_out = []
     for _ in range(2):
         assert main(["route", str(gen_a), "--seed", "11", "--json"]) == 0
-        route_out.append(_strip_wall(json.loads(capsys.readouterr().out)))
+        out = json.loads(capsys.readouterr().out)
+        route_out.append(without_wall_times(out))
     route_ok = route_out[0] == route_out[1]
 
     plan = ExperimentPlan(node_sizes=[12], algorithms=["hybrid"],

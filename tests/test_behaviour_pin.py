@@ -22,7 +22,7 @@ from meshroute.routing import HybridConfig, run
 from meshroute.continuous import ContinuousConfig, run_continuous
 from meshroute.cli import ExperimentPlan, default_source, run_bench
 
-from conftest import make_topo
+from conftest import make_topo, without_wall_times
 from oracle import oracle_best
 
 SIZES = (25, 50, 125)
@@ -30,7 +30,6 @@ SEEDS = (0, 1, 2)
 PERCENTILES = (0.05, 0.25, 0.95)
 ALGS = ("pso", "ga", "hybrid")
 REQ = QosRequest(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.0)
-WALL_FIELDS = ("wall_time_ms", "time_to_best_ms", "iteration_times_ms")
 
 # sha256 of behaviour_digest_items(), recorded on the networkx-backed code.
 BEHAVIOUR_SHA256 = (
@@ -50,9 +49,8 @@ def behaviour_digest_items():
             for alg in ALGS:
                 result = run(topo, sources[1], REQ, coeffs,
                              HybridConfig(rng_seed=seed, algorithm=alg))
-                d = {k: v for k, v in result.to_dict().items()
-                     if k not in WALL_FIELDS}
-                yield json.dumps(d, sort_keys=True)
+                yield json.dumps(without_wall_times(result.to_dict()),
+                                 sort_keys=True)
 
 
 def test_behaviour_hash_unchanged():
@@ -88,9 +86,8 @@ def search_digest_items():
                 for alg in ALGS:
                     result = run(topo, source, SEARCH_REQ, coeffs,
                                  HybridConfig(rng_seed=seed, algorithm=alg))
-                    d = {k: v for k, v in result.to_dict().items()
-                         if k not in WALL_FIELDS}
-                    yield json.dumps(d, sort_keys=True)
+                    yield json.dumps(without_wall_times(result.to_dict()),
+                                     sort_keys=True)
 
 
 def test_search_grid_hash_unchanged():
@@ -195,8 +192,6 @@ def test_solver_breaks_exact_fitness_ties_like_the_oracle(alg):
 # A small sweep, written by `run_bench` serially and with two workers.
 BENCH_PLAN = dict(node_sizes=[12, 25], seeds_per_cell=2, max_iterations=20,
                   packet_count=500)
-# Wall times vary run to run; every other column of every table is pinned.
-WALL_COLUMNS = ("time_to_best_ms", "wall_time_ms", "median_time_to_best_ms")
 
 # sha256 of bench_digest(), recorded on the sweep that ran one cell per
 # (size, algorithm) and regenerated each instance for every algorithm.
@@ -213,8 +208,8 @@ SUMMARY_SHA256 = (
 def _update_without_wall_times(digest, path) -> None:
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            kept = {k: v for k, v in row.items() if k not in WALL_COLUMNS}
-            digest.update(json.dumps(kept, sort_keys=True).encode())
+            digest.update(json.dumps(without_wall_times(row),
+                                     sort_keys=True).encode())
 
 
 def bench_digest(out_dir) -> tuple[str, str]:

@@ -16,7 +16,7 @@ from meshroute import cli
 from meshroute.cli import (ExperimentPlan, default_source, main, run_bench,
                            write_bench_outputs)
 
-from conftest import make_topo
+from conftest import make_topo, without_wall_times
 from oracle import oracle_best
 
 
@@ -102,11 +102,8 @@ class TestRoute:
         for _ in range(2):
             assert main(["route", topo_file, "--algorithm", "hybrid",
                          "--seed", "7", "--json"]) == 0
-            data = json.loads(capsys.readouterr().out)
-            data.pop("wall_time_ms")
-            data.pop("time_to_best_ms")
-            data.pop("iteration_times_ms")
-            outputs.append(data)
+            outputs.append(without_wall_times(
+                json.loads(capsys.readouterr().out)))
         assert outputs[0] == outputs[1]
 
     def test_matches_oracle_on_small_topology(self, topo_file, capsys):
@@ -204,14 +201,11 @@ class TestBench:
         plan = ExperimentPlan(**self.PLAN)
         run_bench(plan, str(tmp_path / "a"))
         run_bench(plan, str(tmp_path / "b"))
-        for name in ("fitness_trace.csv", "pdr.csv", "delay.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes()
-        for a_row, b_row in zip(read_csv(tmp_path / "a" / "convergence_time.csv"),
-                                read_csv(tmp_path / "b" / "convergence_time.csv")):
-            for key in ("size", "algorithm", "seed", "iterations_executed",
-                        "iterations_to_best", "best_total"):
-                assert a_row[key] == b_row[key]
+        for name in ("fitness_trace.csv", "pdr.csv", "delay.csv",
+                     "convergence_time.csv", "summary.csv"):
+            a, b = (read_csv(tmp_path / side / name) for side in "ab")
+            assert ([without_wall_times(row) for row in a]
+                    == [without_wall_times(row) for row in b])
 
     def test_rows_replay_exactly(self, tmp_path):
         from meshroute.cli import run_cell

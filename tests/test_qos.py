@@ -1,7 +1,5 @@
-import functools
 import json
 import math
-import operator
 import random
 from dataclasses import astuple
 
@@ -21,8 +19,9 @@ from meshroute.qos import (
 from meshroute.routing import (HybridConfig, RouteContext, random_walk_path,
                               run)
 from meshroute.cli import default_source
+from meshroute import qos
 
-from conftest import make_topo, source_for
+from conftest import compensated_sum, make_topo, plain_sum, source_for
 from oracle import enumerate_simple_paths, oracle_best
 
 
@@ -30,12 +29,6 @@ REQ = QosRequest(bw_req=5.0, d_req=10.0, j_req=10.0, beta=0.5)
 STRICT = PenaltyCoeffs(1.0, 1.0, 1.0, lam=10.0)
 # An int too large for a float, with a short test id.
 HUGE_INT = pytest.param(10**400, id="10**400")
-
-
-def plain_sum(xs):
-    """sum() as it adds up to Python 3.11: from the int 0, left to right,
-    with no compensation (3.12 compensates float sums)."""
-    return functools.reduce(operator.add, xs, 0)
 
 
 def reference_path_metrics(topo, path):
@@ -182,6 +175,18 @@ class TestPenalty:
             p, _ = penalty(m, REQ, STRICT)
             return m.cost + STRICT.lam * p
         assert total_at(delay + extra) >= total_at(delay)
+
+    def test_terms_add_in_a_fixed_order(self, monkeypatch):
+        # Python 3.12's sum() compensates float rounding; in the module it
+        # must change no penalty.
+        monkeypatch.setattr(qos, "sum", compensated_sum, raising=False)
+        req = QosRequest(bw_req=5.0, d_req=10.0, j_req=2.5, beta=0.6)
+        rng = random.Random(26)
+        for _ in range(1000):
+            m = PathMetrics(1.0, rng.uniform(0.0, 5.0), rng.uniform(10.0, 30.0),
+                            rng.uniform(2.5, 10.0), rng.uniform(0.4, 1.0))
+            p, terms = penalty(m, req, STRICT)
+            assert p == plain_sum(terms.values())
 
 
 class TestFitness:

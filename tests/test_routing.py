@@ -32,20 +32,13 @@ from meshroute import routing
 from meshroute.cli import default_source
 
 from conftest import (brute_force_trap_links, make_topo, merge_demo_topo,
-                      source_for)
+                      source_for, without_wall_times)
 from oracle import enumerate_simple_paths, oracle_best
 from test_behaviour_pin import (SEARCH_PERCENTILES, SEARCH_REQ, SEARCH_SIZES,
                                 SEEDS, tie_mesh)
 
 
 REQ = QosRequest(bw_req=5.0, d_req=100.0, j_req=100.0, beta=0.0)
-
-
-def without_wall_times(result):
-    d = result.to_dict()
-    for key in ("wall_time_ms", "time_to_best_ms", "iteration_times_ms"):
-        d.pop(key)
-    return d
 
 
 def ctx_for(topo, source):
@@ -216,8 +209,10 @@ class TestRouteContext:
         topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
         coeffs = PenaltyCoeffs.for_request(REQ, topo)
         config = HybridConfig(max_iterations=5)
-        result = without_wall_times(run(topo, np.int64(1), REQ, coeffs, config))
-        assert result == without_wall_times(run(topo, 1, REQ, coeffs, config))
+        result = without_wall_times(
+            run(topo, np.int64(1), REQ, coeffs, config).to_dict())
+        assert result == without_wall_times(
+            run(topo, 1, REQ, coeffs, config).to_dict())
         assert json.loads(json.dumps(result)) == result
 
 
@@ -737,8 +732,8 @@ class TestRun:
         coeffs = PenaltyCoeffs.for_request(REQ, topo)
         config = HybridConfig(rng_seed=11, algorithm=algorithm)
         src = source_for(topo)
-        a = run(topo, src, REQ, coeffs, config)
-        b = run(topo, src, REQ, coeffs, config)
+        a = run(topo, src, REQ, coeffs, config).to_dict()
+        b = run(topo, src, REQ, coeffs, config).to_dict()
         assert without_wall_times(a) == without_wall_times(b)
 
     def test_trace_nonincreasing_and_matches_best(self):
@@ -804,7 +799,8 @@ class TestRun:
 
         assert recorded.iterations_executed > 1
         assert len(scored) == len(set(scored))
-        assert without_wall_times(recorded) == without_wall_times(plain)
+        assert (without_wall_times(recorded.to_dict())
+                == without_wall_times(plain.to_dict()))
 
     def test_best_path_always_valid(self):
         topo = generate_topology(TopologyParams(node_count=40, rng_seed=13))

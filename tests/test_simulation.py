@@ -12,8 +12,9 @@ from meshroute.simulation import (
     evaluate_routing,
     simulate_path,
 )
+from meshroute import simulation
 
-from conftest import make_topo, source_for
+from conftest import compensated_sum, make_topo, plain_sum, source_for
 
 
 def reference_simulate(topo, path, traffic):
@@ -26,7 +27,7 @@ def reference_simulate(topo, path, traffic):
         return SimResult(pdr=1.0, avg_delay=0.0, delivered_count=n,
                          packet_count=n)
     loss = np.array([l.loss_prob for l in links])
-    base_delay = float(sum(l.delay for l in links))
+    base_delay = float(plain_sum(l.delay for l in links))
     jitter = np.array([l.jitter for l in links])
     survive = rng.uniform(size=(n, len(links))) >= loss[None, :]
     delivered = survive.all(axis=1)
@@ -102,13 +103,21 @@ class TestSimulatePath:
         b = simulate_path(topo, [0, 1, 2], TrafficSpec(10_000, seed=5))
         assert a == b
 
-    def test_matches_uniform_reference(self):
+    def test_matches_uniform_reference(self, monkeypatch):
         # Generated multi-hop routes, a route through a link that drops
-        # every packet, and a one-node path.
+        # every packet, a one-node path, and a lossless route without
+        # jitter whose delays add to 0.6000000000000001 left to right but
+        # to 0.6 by Python 3.12's compensated sum(), which the module must
+        # not use.
+        monkeypatch.setattr(simulation, "sum", compensated_sum,
+                            raising=False)
         dead = make_topo(4, {(0, 1): {"loss_prob": 0.1},
                              (1, 2): {"loss_prob": 1.0},
                              (2, 3): {"jitter": 2.0}}, gateways={3})
-        cases = [(dead, [0, 1, 2, 3]), (dead, [3])]
+        exact = make_topo(4, {(i, i + 1): {"delay": (i + 1) / 10,
+                                           "jitter": 0.0, "loss_prob": 0.0}
+                              for i in range(3)}, gateways={3})
+        cases = [(dead, [0, 1, 2, 3]), (dead, [3]), (exact, [0, 1, 2, 3])]
         for seed in range(3):
             topo = generate_topology(TopologyParams(node_count=60,
                                                     rng_seed=seed))
