@@ -64,7 +64,14 @@ def simulate_path(topo: MeshTopology, path: list[int],
         base_delay += link.delay
     jitter = np.array([l.jitter for l in links])
 
-    delivered = (rng.random((n, len(links))) >= loss).all(axis=1)
+    # A packet is delivered when its draw clears every hop's loss.  The
+    # mask is ANDed one hop column at a time, and the draws are freed
+    # before the jitter block is drawn.
+    draws = rng.random((n, len(links)))
+    delivered = draws[:, 0] >= loss[0]
+    for j in range(1, len(links)):
+        delivered &= draws[:, j] >= loss[j]
+    del draws
     # Each hop's jitter is uniform on [0, jitter): the second draw, scaled
     # in place by the link's jitter; delays are kept for delivered packets.
     jitter_samples = rng.random((n, len(links)))

@@ -8,10 +8,14 @@ plus a normalized interference factor derived from channel separation against
 its neighboring links.
 
 The graph is held in plain per-node tuples and neighbour-to-link dicts built
-once at construction, and shortest paths come from one heapq Dijkstra over
-dense distance/predecessor lists, cached as compact arrays per source tuple:
-one node, or all gateways together.  numpy (used by the generator) is the
-only third-party dependency.
+once at construction.  Shortest paths come from one resumable heapq Dijkstra
+over dense distance/predecessor lists that yields each node as it settles.
+Rows read whole run it to the end and are cached on the mesh as compact
+arrays per source tuple: one node, or all gateways together.  A detour query
+stops it at its target.  A route solver keeps one suspended search per
+stitch origin for the length of a run and leaves each one's settled prefix
+on the mesh (see routing.RouteContext).  numpy (used by the generator) is
+the only third-party dependency.
 """
 
 from __future__ import annotations
@@ -238,6 +242,9 @@ class MeshTopology:
         # gateways in ascending id order for theirs.
         self._trees: dict[tuple[int, ...], tuple[array, array]] = {}
         self._gateway_key = tuple(sorted(self.gateways))
+        # Route solvers' stitch searches as runs left them, per origin: the
+        # predecessors and which nodes had settled (routing.RouteContext).
+        self._stitched: dict[int, tuple[array, bytes]] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -267,25 +274,25 @@ class MeshTopology:
 
     # -- shortest paths ----------------------------------------------------
 
-    def _dijkstra(self, sources: Iterable[int],
-                  avoid: AbstractSet[int] = frozenset(), target: int = -1,
-                  ) -> tuple[list[float], list[int]]:
-        """Least link-cost sum from the nearest of the distinct ``sources``
-        to every node, and each node's predecessor on that path (-1 at
-        sources and unreached nodes).  Paths never enter a node in
-        ``avoid``.  Given a ``target``, the search stops once it settles
-        that node: its distance and predecessor chain are then final, while
-        other nodes' entries may not be.
+    def _search(self, sources: Iterable[int], dist: list[float],
+                pred: list[int], avoid: AbstractSet[int] = frozenset()):
+        """Dijkstra from the nearest of the distinct ``sources``: fills
+        ``dist`` (all UNREACHABLE on entry) with each node's least link-cost
+        sum and ``pred`` (all -1) with its predecessor on that path, and
+        yields each node as it settles, before relaxing its links.  Paths
+        never enter a node in ``avoid``.
 
-        Equal-cost ties break as pinned in tests/test_behaviour_pin.py:
-        heap entries are (distance, push counter, node), neighbours are
-        relaxed in link insertion order, a node's entry is replaced only on
-        a strictly smaller distance, and settled nodes are skipped.  Costs
-        are positive, so a settled node is never improved and a popped entry
-        is stale exactly when its distance exceeds the node's.
+        A settled node's distance and predecessor chain are final, so a
+        caller may stop or suspend the search there; run to the end, it
+        leaves every node's entries final, and -1 at sources and unreached
+        nodes.  Equal-cost ties break as pinned in
+        tests/test_behaviour_pin.py: heap entries are (distance, push
+        counter, node), neighbours are relaxed in link insertion order, a
+        node's entry is replaced only on a strictly smaller distance, and
+        settled nodes are skipped.  Costs are positive, so a settled node is
+        never improved and a popped entry is stale exactly when its distance
+        exceeds the node's.
         """
-        dist = [UNREACHABLE] * len(self.nodes)
-        pred = [-1] * len(self.nodes)
         heap: list[tuple[float, int, int]] = []
         pushes = 0
         for s in sources:
@@ -298,8 +305,7 @@ class MeshTopology:
             d, _, u = heappop(heap)
             if d > dist[u]:
                 continue
-            if u == target:
-                break
+            yield u
             for v, cost in adj[u]:
                 nd = d + cost
                 if nd < dist[v]:
@@ -309,7 +315,6 @@ class MeshTopology:
                     pred[v] = u
                     heappush(heap, (nd, pushes, v))
                     pushes += 1
-        return dist, pred
 
     def _tree(self, sources: tuple[int, ...]) -> tuple[array, array]:
         # Cached trees are flat double/long arrays: a list of distances
@@ -317,7 +322,10 @@ class MeshTopology:
         # 8-byte double alone.
         tree = self._trees.get(sources)
         if tree is None:
-            dist, pred = self._dijkstra(sources)
+            n = len(self.nodes)
+            dist, pred = [UNREACHABLE] * n, [-1] * n
+            for _ in self._search(sources, dist, pred):
+                pass
             tree = self._trees[sources] = (array("d", dist), array("l", pred))
         return tree
 
@@ -419,7 +427,11 @@ class MeshTopology:
         if not (self.has_node(source) and self.has_node(target)):
             raise TopologyError("unknown node id")
         if avoid:
-            dist, pred = self._dijkstra((source,), avoid, target)
+            n = len(self.nodes)
+            dist, pred = [UNREACHABLE] * n, [-1] * n
+            for u in self._search((source,), dist, pred, avoid):
+                if u == target:
+                    break
         else:
             dist, pred = self._tree((source,))
         if dist[target] == UNREACHABLE:
@@ -487,7 +499,10 @@ def validate_path(topo: MeshTopology, path: list[int],
         rest = path[1:]
     except (TypeError, KeyError):  # not a sequence; a dict gives KeyError
         return False
-    if not all(map(topo.has_node, path)):
+    if set(map(type, path)) == {int}:  # plain ints: one range test
+        if min(path) < 0 or max(path) >= topo.node_count:
+            return False
+    elif not all(map(topo.has_node, path)):
         return False
     if len(set(path)) != len(path):
         return False

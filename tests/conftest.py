@@ -74,6 +74,13 @@ def source_for(topo):
     return next(i for i in range(topo.node_count) if i not in topo.gateways)
 
 
+def island_mesh():
+    """Gateway 2 in a triangle 0-1-2 whose direct link 0-2 costs more than
+    the way round, beside a line 3-4-5 that reaches no gateway."""
+    return make_topo(6, {(0, 1): {}, (1, 2): {}, (0, 2): {"cost": 4.0},
+                         (3, 4): {}, (4, 5): {}}, gateways={2})
+
+
 @pytest.fixture
 def triangle():
     # s=0, a=1, t=2; direct s-t plus a detour through a.

@@ -151,12 +151,44 @@ MUTANTS = [
      "src/meshroute/simulation.py",
      "for link in links:",
      "for link in reversed(links):"),
+    ("a stitch stops once its target is reached, not settled",
+     "src/meshroute/routing.py",
+     "if not settled[v]:",
+     "if pred[v] == -1 and not settled[v]:"),
+    ("a stitch search marks only its target settled",
+     "src/meshroute/routing.py",
+     "settled[w] = 1",
+     "settled[v] = 1"),
+    ("an unreachable stitch target gives its origin alone",
+     "src/meshroute/routing.py",
+     "return None",
+     "return [u]"),
+    ("a kept prefix is read for a target it has not settled",
+     "src/meshroute/routing.py",
+     "if kept is not None and kept[1][v]:",
+     "if kept is not None:"),
+    ("a run keeps none of its stitch searches",
+     "src/meshroute/routing.py",
+     "ctx.keep_stitches()",
+     "None"),
 ]
 
 # Equivalent edits, not run, each with the reason it cannot be told apart:
 # - "gbest merge reads C1" (routing.oplus_update, ``C2 * rng.random()`` to
 #   ``C1 * rng.random()``): C1 == C2 == 1.5, so every run is unchanged; only
 #   a test that sets the two apart (test_gbest_merge_uses_c2) sees it.
+# - "a stitch starts its search afresh" (RouteContext.stitch builds a new
+#   search on every call): a fresh search settles the same nodes with the
+#   same distances and predecessors on its way to the target; it only
+#   costs time.
+# - "the search yields a node after relaxing its links"
+#   (MeshTopology._search): a settled node's distance and predecessor chain
+#   are final either way, so every caller reads the same rows; a stopped
+#   search has only done more work.
+# - "the search drops its stale-entry test" (``if d > dist[u]: continue``):
+#   a stale entry's distance exceeds its node's, so relaxing from it
+#   improves nothing, and its second yield comes after the node settled,
+#   which no stitch or detour query waits for.
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".hypothesis", "*.egg-info")

@@ -122,10 +122,13 @@ def attainment_times_ms(results, best_known: float) -> dict:
 @pytest.fixture(scope="module")
 def sweep():
     """SWEEP's instances by size.  For criterion 4's timing, each mesh gets
-    every shortest-path tree as it is generated, as the first run would
-    otherwise pay for the cached trees all three share, and cyclic GC is
-    off while an instance is solved, as timeit does, so no collection of
-    the whole test process's heap is timed as part of a solve."""
+    every node's cost row as it is generated.  Of those rows the runs share
+    only the source's, which each run reads before its clock starts; the
+    gateway tree comes with source selection, and the stitch prefixes runs
+    leave on the mesh are not used in iteration 1, the one criterion 4
+    times.  Cyclic GC is off while an instance is solved, as timeit does,
+    so no collection of the whole test process's heap is timed as part of a
+    solve."""
     def warmed(params):
         topo = generate_topology(params)
         for n in range(topo.node_count):

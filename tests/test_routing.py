@@ -31,8 +31,8 @@ from meshroute.routing import (
 from meshroute import routing
 from meshroute.cli import default_source
 
-from conftest import (brute_force_trap_links, make_topo, merge_demo_topo,
-                      source_for, without_wall_times)
+from conftest import (brute_force_trap_links, island_mesh, make_topo,
+                      merge_demo_topo, source_for, without_wall_times)
 from oracle import enumerate_simple_paths, oracle_best
 from test_behaviour_pin import (SEARCH_PERCENTILES, SEARCH_REQ, SEARCH_SIZES,
                                 SEEDS, tie_mesh)
@@ -214,6 +214,96 @@ class TestRouteContext:
         assert result == without_wall_times(
             run(topo, 1, REQ, coeffs, config).to_dict())
         assert json.loads(json.dumps(result)) == result
+
+
+class TestStitch:
+    """RouteContext.stitch(u, v) is topo.shortest_path(u, v) in any order
+    of queries, though each origin's search stops once its target settles
+    and resumes only for a target it has not settled, and a later run
+    reads what an earlier one kept."""
+
+    @staticmethod
+    def assert_stitches_match(topo, queries):
+        # Two contexts in turn, as two runs on one mesh: the second reads
+        # the prefixes the first kept, and searches past them.
+        half = len(queries) // 2
+        for part in (queries[:half], queries[half:]):
+            ctx = ctx_for(topo, source_for(topo))
+            for u, v in part:
+                assert ctx.stitch(u, v) == topo.shortest_path(u, v)
+            ctx.keep_stitches()
+
+    @pytest.mark.parametrize("node_count", [25, 125])
+    def test_any_query_order_matches_shortest_path(self, node_count):
+        # A few origins each, so most queries resume a search; a target
+        # beyond the farthest one asked of its origin resumes it, a nearer
+        # one reads what has settled.
+        rng = random.Random(node_count)
+        farther = Counter()
+        for mesh_seed in range(3):
+            topo = generate_topology(TopologyParams(node_count=node_count,
+                                                    rng_seed=mesh_seed))
+            origins = rng.sample(range(topo.node_count), 4)
+            queries = [(rng.choice(origins), rng.randrange(topo.node_count))
+                       for _ in range(300)]
+            reach = dict.fromkeys(origins, 0.0)
+            for u, v in queries:
+                cost = topo.shortest_path_costs(u)[v]
+                farther[cost > reach[u]] += 1
+                reach[u] = max(reach[u], cost)
+            self.assert_stitches_match(topo, queries)
+        assert farther[True] and farther[False]
+
+    def test_equal_cost_ties(self):
+        topo = tie_mesh()
+        pairs = list(itertools.product(range(topo.node_count), repeat=2))
+        for seed in range(5):
+            random.Random(seed).shuffle(pairs)
+            self.assert_stitches_match(tie_mesh(), pairs)
+
+    def test_unreachable_target_gives_none(self):
+        topo = island_mesh()
+        pairs = list(itertools.product(range(topo.node_count), repeat=2))
+        assert any(topo.shortest_path(u, v) is None for u, v in pairs)
+        for seed in range(5):
+            random.Random(seed).shuffle(pairs)
+            self.assert_stitches_match(island_mesh(), pairs)
+
+    @pytest.mark.parametrize("algorithm", routing.ALGORITHMS)
+    def test_run_caches_only_the_source_row_and_the_gateway_tree(
+            self, monkeypatch, algorithm):
+        stitches = Counter()
+        stitch = RouteContext.stitch
+
+        def counting(ctx, u, v):
+            stitches[u] += 1
+            return stitch(ctx, u, v)
+
+        monkeypatch.setattr(RouteContext, "stitch", counting)
+        topo = generate_topology(TopologyParams(node_count=125, rng_seed=0))
+        source = default_source(topo, 0.75)
+        run(topo, source, REQ, PenaltyCoeffs.for_request(REQ, topo),
+            HybridConfig(rng_seed=1, algorithm=algorithm))
+        assert len(stitches) > 1
+        assert set(topo._trees) == {(source,), topo._gateway_key}
+        assert set(topo._stitched) == set(stitches)
+
+    def test_runs_on_a_mesh_with_kept_stitches_match_runs_on_a_fresh_one(
+            self):
+        params = TopologyParams(node_count=125, rng_seed=0)
+        shared = generate_topology(params)
+        source = default_source(shared, 0.75)
+        coeffs = PenaltyCoeffs.for_request(REQ, shared)
+        kept = []
+        for seed in (1, 2):
+            for algorithm in routing.ALGORITHMS:
+                kept.append(len(shared._stitched))
+                config = HybridConfig(rng_seed=seed, algorithm=algorithm)
+                runs = [without_wall_times(run(topo, source, REQ, coeffs,
+                                               config).to_dict())
+                        for topo in (shared, generate_topology(params))]
+                assert runs[0] == runs[1]
+        assert kept[0] == 0 and kept[-1] > 0
 
 
 class TestAlter:

@@ -36,8 +36,8 @@ from meshroute.qos import InvalidPathError, PenaltyCoeffs, QosRequest, fitness
 from meshroute.simulation import TrafficSpec, simulate_path
 from meshroute.cli import default_source
 
-from conftest import (LINK_DEFAULTS, brute_force_trap_links, make_topo,
-                      source_for)
+from conftest import (LINK_DEFAULTS, brute_force_trap_links, island_mesh,
+                      make_topo, source_for)
 from oracle import PathExplosionError, enumerate_simple_paths
 from test_behaviour_pin import tie_mesh
 
@@ -481,9 +481,7 @@ class TestShortestPath:
     def test_detour_query_matches_full_dijkstra_on_ties_and_islands(self):
         # tie_mesh has several equal-cost paths between most pairs; the
         # second mesh has a component no gateway reaches.
-        island = make_topo(6, {(0, 1): {}, (1, 2): {}, (0, 2): {"cost": 4.0},
-                               (3, 4): {}, (4, 5): {}}, gateways={2})
-        for topo in (tie_mesh(), island):
+        for topo in (tie_mesh(), island_mesh()):
             n = topo.node_count
             for source, target in itertools.product(range(n), repeat=2):
                 for size in (1, 2):
@@ -853,9 +851,14 @@ class TestValidatePath:
         (np.array([24, 8, 8]), False),
         (np.array([], dtype=int), False),
         (np.array([24.0, 8, 22, 4]), False),
+        # Plain ints take one range test, any other id has_node each.
+        ([24, np.int64(8), 22, np.int64(4)], True),
+        ([13, 1, 2, 20], True),
+        ([13, True, 2, 20], False),
     ], ids=["int", "np-int64", "float", "negative", "out-of-range",
             "array", "array-no-gateway", "array-repeat", "array-empty",
-            "float-array"])
+            "float-array", "int-and-np-int64", "int-route-through-1",
+            "true-among-ints"])
     def test_node_id_types(self, path, valid):
         topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
         assert validate_path(topo, path) is valid
