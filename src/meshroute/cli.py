@@ -109,11 +109,13 @@ def default_source(topo: MeshTopology, percentile: float = 0.25) -> int:
     if not 0.0 <= percentile < 1.0:
         raise ValueError("percentile outside [0, 1)")
     cost = topo.gateway_costs()
-    ranked = sorted((cost[n], n) for n in range(topo.node_count)
-                    if n not in topo.gateways and cost[n] != math.inf)
+    # A stable sort of ascending ids: equal costs rank by id.
+    ranked = sorted([n for n in range(topo.node_count)
+                     if n not in topo.gateways and cost[n] != math.inf],
+                    key=cost.__getitem__)
     if not ranked:
         raise TopologyError("no node other than a gateway reaches a gateway")
-    return ranked[int(len(ranked) * percentile)][1]
+    return ranked[int(len(ranked) * percentile)]
 
 
 def run_cell(size: int, index: int, plan: ExperimentPlan,

@@ -16,6 +16,12 @@ stops it at its target.  A route solver keeps one suspended search per
 stitch origin for the length of a run and leaves each one's settled prefix
 on the mesh (see routing.RouteContext).  numpy (used by the generator) is
 the only third-party dependency.
+
+The generator places nodes with numpy's uniform draws and then decodes each
+node's radios and each link's channel and weights from blocks of raw PCG64
+words, replaying numpy's rules for turning words into draws (_Pcg64Draws),
+so every mesh and the RNG state it leaves are those of one Generator call
+per drawn value.
 """
 
 from __future__ import annotations
@@ -554,6 +560,70 @@ def _worst_interference(links: Sequence[tuple[int, int, int]],
     return factors
 
 
+class _Pcg64Draws:
+    """numpy Generator draws on a PCG64, decoded from its raw 64-bit words
+    by numpy's fixed rules (NEP 19 keeps the raw stream stable):
+    - a 32-bit draw is the low half of a fresh word, and leaves the high
+      half for the next one (the state's ``has_uint32`` and ``uinteger``);
+    - ``integers(0, k)`` is Lemire's method on 32-bit draws (ACM TOMACS
+      2019), rejections included; a range of one value draws nothing;
+    - ``random()`` of a word ``w`` is ``(w >> 11) * 2**-53``.
+    Words come in blocks from ``random_raw``, no more than the draws use,
+    so ``close()`` leaves the bit generator as the Generator calls would.
+    """
+
+    def __init__(self, bits: np.random.PCG64):
+        self.bits = bits
+        state = bits.state
+        self.buffered, self.half = state["has_uint32"], state["uinteger"]
+        self.block = np.empty(0, dtype=np.uint64)
+        self.words: list[int] = []   # the block as Python ints
+        self.at = 0                  # the next unused word
+
+    def fetch(self, uint32s: int = 0, words: int = 0) -> None:
+        """Fetch, once every word fetched so far is used, the words that
+        ``uint32s`` 32-bit draws (unless one is rejected) and ``words``
+        whole-word draws use between them."""
+        new = self.bits.random_raw(words + (uint32s - self.buffered + 1) // 2)
+        self.block = np.concatenate((self.block, new))
+        self.words += new.tolist()
+
+    def below(self, k: int) -> int:
+        """``Generator.integers(0, k)`` for 0 < k < 2**32."""
+        if k == 1:
+            return 0
+        while True:
+            if self.buffered:
+                self.buffered, x = 0, self.half
+            else:
+                if self.at == len(self.words):  # past a rejection
+                    self.fetch(uint32s=1)
+                word = self.words[self.at]
+                self.at += 1
+                self.buffered, self.half, x = 1, word >> 32, word & 0xFFFFFFFF
+            m = x * k
+            if m & 0xFFFFFFFF >= (1 << 32) % k:
+                return m >> 32
+
+    def skip(self, count: int) -> int:
+        """Set aside the next ``count`` words; the index of the first."""
+        start = self.at
+        self.at += count
+        if self.at > len(self.words):
+            self.fetch(words=self.at - len(self.words))
+        return start
+
+    def doubles(self, index: np.ndarray) -> np.ndarray:
+        """``random()`` of the words set aside at ``index``."""
+        return (self.block[index] >> 11) * 2.0 ** -53
+
+    def close(self) -> None:
+        """Hand the unused half-word back to the bit generator."""
+        state = self.bits.state
+        state["has_uint32"], state["uinteger"] = self.buffered, self.half
+        self.bits.state = state
+
+
 def _pick_gateways(positions: np.ndarray, count: int,
                    rng: np.random.Generator) -> list[int]:
     # Spread gateways over the deployment via a short k-means on node
@@ -587,52 +657,44 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
     synthetic, exempt from the range constraint).  Per-link interference is
     the worst channel overlap against any link sharing an endpoint.
     """
-    rng = np.random.default_rng(params.rng_seed)
+    # default_rng(seed) builds exactly this; _Pcg64Draws decodes PCG64.
+    rng = np.random.Generator(np.random.PCG64(params.rng_seed))
     width, height = params.resolved_area()
     n = params.node_count
 
     xs = rng.uniform(0.0, width, size=n)
     ys = rng.uniform(0.0, height, size=n)
-    radios = [tuple(sorted(int(c) for c in
-                           rng.choice(np.arange(1, NUM_CHANNELS + 1),
-                                      size=RADIOS_PER_NODE, replace=False)))
-              for _ in range(n)]
+    # Each node's RADIOS_PER_NODE (two) channels, as
+    # Generator.choice(NUM_CHANNELS, 2, replace=False) draws them: Floyd's
+    # method takes a draw in [0, NUM_CHANNELS - 2], then one in
+    # [0, NUM_CHANNELS - 1] that becomes NUM_CHANNELS - 1 on a collision,
+    # and the shuffle after it one in [0, 1].  Sorted, the shuffle leaves
+    # nothing but its draw.
+    draws = _Pcg64Draws(rng.bit_generator)
+    draws.fetch(uint32s=3 * n)
+    radios = []
+    for _ in range(n):
+        a = draws.below(NUM_CHANNELS - 1)
+        b = draws.below(NUM_CHANNELS)
+        if b == a:
+            b = NUM_CHANNELS - 1
+        draws.below(2)
+        radios.append((a + 1, b + 1) if a < b else (b + 1, a + 1))
     nodes = [Node(i, float(xs[i]), float(ys[i]), radios[i]) for i in range(n)]
 
-    # Each link's (u, v, channel, cost, delay, jitter, loss, synthetic),
-    # kept until its interference is known.  One integers() draw is the
-    # index Generator.choice would draw from the pool, and one random(4)
-    # gives the doubles that four scalar uniform() calls would scale, so the
-    # weights and the RNG state match drawing them one call at a time.
-    drawn: list[tuple] = []
-    (cost_lo, cost_hi), (delay_lo, delay_hi) = COST_RANGE, DELAY_RANGE
-    (jitter_lo, jitter_hi), (loss_lo, loss_hi) = JITTER_RANGE, LOSS_RANGE
-
-    def draw_link(u: int, v: int, synthetic: bool) -> None:
-        shared = set(radios[u]) & set(radios[v])
-        pool = sorted(shared) if shared else sorted(set(radios[u]) | set(radios[v]))
-        channel = pool[int(rng.integers(0, len(pool)))]
-        cost, delay, jitter, loss = rng.random(4).tolist()
-        drawn.append((u, v, channel,
-                      cost_lo + (cost_hi - cost_lo) * cost,
-                      delay_lo + (delay_hi - delay_lo) * delay,
-                      jitter_lo + (jitter_hi - jitter_lo) * jitter,
-                      loss_lo + (loss_hi - loss_lo) * loss,
-                      synthetic))
-
-    # Every pair within range, in row-major (u, v) order so the RNG draws
-    # follow it.  numpy's distances only shortlist the pairs (with a little
-    # slack for rounding); math.dist decides, as it decides the stitching.
+    # Every pair within range, in row-major (u, v) order, the order the
+    # links draw in.  numpy's distances only shortlist the pairs (with a
+    # little slack for rounding); math.dist decides, as it decides the
+    # stitching.
     points = list(zip(xs.tolist(), ys.tolist()))
     # A plain float, so reach * _SLACK keeps its slack for a numpy float32
     # range too.
     reach = float(params.transmission_range)
     distance = _distances(xs, ys, xs, ys)
     near = np.triu(distance <= reach * _SLACK, k=1)
-    for u, v in zip(*np.nonzero(near)):
-        u, v = int(u), int(v)
-        if math.dist(points[u], points[v]) <= reach:
-            draw_link(u, v, synthetic=False)
+    pairs = [(u, v) for u, v in np.argwhere(near).tolist()
+             if math.dist(points[u], points[v]) <= reach]
+    in_range = len(pairs)
 
     # Stitch components until connected: each round links the component of
     # node 0 to its nearest other node, ties going to the other component
@@ -648,7 +710,7 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
             x = low[x]
         return x
 
-    for u, v, *_ in drawn:
+    for u, v in pairs:
         a, b = find(u), find(v)
         low[max(a, b)] = min(a, b)
     component = np.array([find(i) for i in range(n)])
@@ -662,12 +724,32 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
                           int(other[j]))
                          for i, j in zip(rows, cols))
         in_base |= component == component[v]
-        draw_link(min(u, v), max(u, v), synthetic=True)
+        pairs.append((min(u, v), max(u, v)))
 
+    # Link by link, as Generator.choice(pool) and four uniform() calls draw
+    # them: the channel is a draw in [0, len(pool)) from the channels both
+    # ends share, or else from all of theirs (a pool of one draws nothing),
+    # and the four weights are one double each.
+    pools = [[c for c in radios[u] if c in radios[v]]
+             or sorted(radios[u] + radios[v]) for u, v in pairs]
+    draws.fetch(uint32s=sum(len(pool) > 1 for pool in pools),
+                words=4 * len(pairs))
+    channels, starts = [], []
+    for pool in pools:
+        channels.append(pool[draws.below(len(pool))])
+        starts.append(draws.skip(4))
+    draws.close()
+    ranges = np.array([COST_RANGE, DELAY_RANGE, JITTER_RANGE, LOSS_RANGE])
+    lo, span = ranges[:, 0], ranges[:, 1] - ranges[:, 0]
+    weights = lo + span * draws.doubles(
+        np.array(starts, dtype=np.intp)[:, None] + np.arange(4))
+
+    ends = [(u, v, channel) for (u, v), channel in zip(pairs, channels)]
     links = [Link(u, v, channel, cost, BANDWIDTH, delay, jitter, loss,
-                  i_factor, synthetic)
-             for (u, v, channel, cost, delay, jitter, loss, synthetic), i_factor
-             in zip(drawn, _worst_interference([d[:3] for d in drawn]))]
+                  i_factor, i >= in_range)
+             for i, ((u, v, channel), (cost, delay, jitter, loss), i_factor)
+             in enumerate(zip(ends, weights.tolist(),
+                              _worst_interference(ends)))]
     gateways = _pick_gateways(np.stack([xs, ys], axis=1),
                               params.gateway_count, rng)
     return MeshTopology(nodes, links, set(gateways),

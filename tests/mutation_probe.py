@@ -171,6 +171,30 @@ MUTANTS = [
      "src/meshroute/routing.py",
      "ctx.keep_stitches()",
      "None"),
+    ("the radio draw skips the shuffle's draw",
+     "src/meshroute/topology.py",
+     "        draws.below(2)\n",
+     ""),
+    ("the half-word is dropped between the radio and link draws",
+     "src/meshroute/topology.py",
+     "    draws.fetch(uint32s=sum(",
+     "    draws.buffered = 0\n    draws.fetch(uint32s=sum("),
+    ("a Lemire rejection is accepted",
+     "src/meshroute/topology.py",
+     "if m & 0xFFFFFFFF >= (1 << 32) % k:",
+     "if True:"),
+    ("a fetch takes one word more than its draws use",
+     "src/meshroute/topology.py",
+     "(uint32s - self.buffered + 1) // 2",
+     "(uint32s - self.buffered + 2) // 2"),
+    ("a pool of one makes a bounded draw",
+     "src/meshroute/topology.py",
+     "        if k == 1:\n            return 0\n",
+     ""),
+    ("default_source ranks equal costs by descending id",
+     "src/meshroute/cli.py",
+     "key=cost.__getitem__)",
+     "key=lambda n: (cost[n], -n))"),
 ]
 
 # Equivalent edits, not run, each with the reason it cannot be told apart:
@@ -189,6 +213,8 @@ MUTANTS = [
 #   a stale entry's distance exceeds its node's, so relaxing from it
 #   improves nothing, and its second yield comes after the node settled,
 #   which no stitch or detour query waits for.
+# - "two radios order as a <= b" (``if a < b`` in generate_topology):
+#   Floyd's second draw never equals the first, so both orders agree.
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".hypothesis", "*.egg-info")

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from meshroute.topology import (
     TopologyParams,
     UNREACHABLE,
     _SLACK,
+    _Pcg64Draws,
     _distances,
     _pick_gateways,
     _worst_interference,
@@ -166,6 +168,28 @@ def reference_generate_topology(params: TopologyParams) -> MeshTopology:
                               params.gateway_count, rng)
     return MeshTopology(nodes, finished, set(gateways),
                         params.transmission_range)
+
+
+def generate_with_state(make, params):
+    """``make(params)`` as JSON and the final state of the bit generator of
+    the one Generator it builds, through np.random.Generator or
+    np.random.default_rng."""
+    built = []
+
+    def recorder(name):
+        original = getattr(np.random, name)
+
+        def build(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+        return build
+
+    with mock.patch.object(np.random, "Generator", recorder("Generator")), \
+            mock.patch.object(np.random, "default_rng",
+                              recorder("default_rng")):
+        text = make(params).to_json()
+    (rng,) = built
+    return text, rng.bit_generator.state
 
 
 def reference_worst_interference(links):
@@ -315,8 +339,11 @@ class TestGeneratorMatchesReference:
 
     @staticmethod
     def assert_same_mesh(params):
-        got = generate_topology(params).to_json()
-        want = reference_generate_topology(params).to_json()
+        got, got_state = generate_with_state(generate_topology, params)
+        want, want_state = generate_with_state(reference_generate_topology,
+                                               params)
+        # The state the last draw left, the unused half-word included.
+        assert got_state == want_state, params
         # Compare to one bool: pytest's diff of two long one-line strings
         # takes minutes.
         same = got == want
@@ -395,6 +422,92 @@ class TestGeneratorDraws:
                        for (lo, hi), u in zip(ranges, b.random(4).tolist())]
             assert one_by_one == at_once
         assert a.bit_generator.state == b.bit_generator.state
+
+
+def with_half_word(seed, half):
+    """A PCG64 seeded ``seed`` whose next 32-bit draw is ``half``, taken
+    from the unused half-word numpy keeps in its state."""
+    bits = np.random.PCG64(seed)
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = 1, half
+    bits.state = state
+    return bits
+
+
+class TestPcg64Draws:
+    """_Pcg64Draws replays numpy's Generator draws from raw words: same
+    values, same state left behind."""
+
+    @pytest.mark.parametrize("k", [11, 10, 3])
+    def test_rejected_draw_is_drawn_again(self, k):
+        # A 32-bit draw x gives x * k // 2**32 unless x * k mod 2**32 is
+        # below 2**32 mod k; x = 0 is below it for these ranges, so Lemire's
+        # method rejects it and draws again, from a fresh word.
+        assert (1 << 32) % k > 0
+        bits, twin = with_half_word(k, 0), with_half_word(k, 0)
+        draws = _Pcg64Draws(bits)
+        got = draws.below(k)
+        draws.close()
+        assert got == int(np.random.Generator(twin).integers(0, k))
+        assert bits.state == twin.state
+        assert bits.state["state"] != with_half_word(k, 0).state["state"]
+
+    @pytest.mark.parametrize("k", [11, 10, 3])
+    def test_value_above_the_threshold_is_kept(self, k):
+        # x * k mod 2**32 is 2**32 mod k exactly, the least value kept.
+        # 2**32 mod k is a multiple of g = gcd(k, 2**32), so x solves
+        # x * (k / g) = (2**32 mod k) / g modulo 2**32 / g.
+        g = math.gcd(k, 1 << 32)
+        x = ((1 << 32) % k // g * pow(k // g, -1, (1 << 32) // g)
+             % ((1 << 32) // g))
+        assert x * k % (1 << 32) == (1 << 32) % k
+        bits, twin = with_half_word(k, x), with_half_word(k, x)
+        draws = _Pcg64Draws(bits)
+        got = draws.below(k)
+        draws.close()
+        assert got == int(np.random.Generator(twin).integers(0, k))
+        assert bits.state == twin.state == with_half_word(k, x).state | {
+            "has_uint32": 0}
+
+    @pytest.mark.parametrize("buffered", [0, 1])
+    def test_a_range_of_one_draws_nothing(self, buffered):
+        # A link whose ends share one channel has a pool of one.
+        bits = with_half_word(5, 7) if buffered else np.random.PCG64(5)
+        before = bits.state
+        draws = _Pcg64Draws(bits)
+        assert draws.below(1) == 0
+        draws.close()
+        assert bits.state == before
+        assert np.random.Generator(bits).integers(0, 1) == 0
+        assert bits.state == before
+
+    @pytest.mark.parametrize("seed, buffered",
+                             itertools.product(range(4), [0, 1]))
+    def test_mixed_draws_match_the_generator(self, seed, buffered):
+        # 3 << 30 rejects about a quarter of its draws, so draws run past
+        # the fetched block and fetch their words one at a time.
+        kinds = random.Random(seed).choices(
+            [1, 2, 3, 4, 10, 11, 3 << 30, "double"], k=600)
+        make = ((lambda: with_half_word(seed, 12345)) if buffered
+                else (lambda: np.random.PCG64(seed)))
+        bits, twin = make(), make()
+        draws = _Pcg64Draws(bits)
+        draws.fetch(uint32s=sum(k != "double" and k > 1 for k in kinds),
+                    words=kinds.count("double"))
+        got_ints, at = [], []
+        for k in kinds:
+            if k == "double":
+                at.append(draws.skip(1))
+            else:
+                got_ints.append(draws.below(k))
+        draws.close()
+        generator = np.random.Generator(twin)
+        want = [generator.random() if k == "double"
+                else int(generator.integers(0, k)) for k in kinds]
+        assert got_ints == [w for k, w in zip(kinds, want) if k != "double"]
+        assert draws.doubles(np.array(at)).tolist() == [
+            w for k, w in zip(kinds, want) if k == "double"]
+        assert bits.state == twin.state
 
 
 class TestWorstInterference:
@@ -551,6 +664,34 @@ class TestMultiSourceCosts:
             for p in (0, 0.0, 0.25, np.float64(0.5), 0.95):
                 assert default_source(topo, p) == \
                     ranked[int(len(ranked) * p)][1]
+
+    @staticmethod
+    def tuple_ranked_source(topo, percentile):
+        """default_source as a sort of (cost, id) tuples."""
+        cost = topo.gateway_costs()
+        ranked = sorted((cost[n], n) for n in range(topo.node_count)
+                        if n not in topo.gateways and cost[n] != math.inf)
+        return ranked[int(len(ranked) * percentile)][1]
+
+    def test_default_source_ranks_like_cost_id_tuples(self):
+        # At every benchmark percentile, on generated meshes and on a mesh
+        # of tied costs: gateways 0 and 9 each reach 1-4 at cost 2, 5-8 at
+        # 4 and 10-12 at 6 (10-12 linked in descending order), and 13-14
+        # reach no gateway.
+        percentiles = [0.0] + [round(0.05 * k, 2) for k in range(1, 20)]
+        edges = {(g, h): {} for g in (0, 9) for h in (4, 3, 2, 1)}
+        edges.update({(h, h + 4): {} for h in (1, 2, 3, 4)})
+        edges.update({(8 - i, 10 + i): {} for i in (2, 1, 0)})
+        edges[(13, 14)] = {}
+        tied = make_topo(15, edges, gateways={0, 9})
+        assert sorted(tied.gateway_costs()) == (
+            [0.0] * 2 + [2.0] * 4 + [4.0] * 4 + [6.0] * 3 + [UNREACHABLE] * 2)
+        meshes = [tied] + [generate_topology(TopologyParams(n, rng_seed=s))
+                           for n in (25, 125, 200) for s in range(3)]
+        for topo in meshes:
+            for p in percentiles:
+                assert (default_source(topo, p)
+                        == self.tuple_ranked_source(topo, p)), p
 
     @pytest.mark.parametrize("percentile", [
         -0.1, 1.0, 1.5, math.nan, math.inf, -math.inf, False, True, "0.5",
