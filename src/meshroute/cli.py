@@ -15,7 +15,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import os
 import statistics
 import sys
@@ -108,11 +107,7 @@ def default_source(topo: MeshTopology, percentile: float = 0.25) -> int:
         raise ValueError("percentile must be a finite number")
     if not 0.0 <= percentile < 1.0:
         raise ValueError("percentile outside [0, 1)")
-    cost = topo.gateway_costs()
-    # A stable sort of ascending ids: equal costs rank by id.
-    ranked = sorted([n for n in range(topo.node_count)
-                     if n not in topo.gateways and cost[n] != math.inf],
-                    key=cost.__getitem__)
+    ranked = topo.ranked_sources
     if not ranked:
         raise TopologyError("no node other than a gateway reaches a gateway")
     return ranked[int(len(ranked) * percentile)]

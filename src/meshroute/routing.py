@@ -131,6 +131,9 @@ class RouteContext:
         # The merge compares source costs at every aligned position, so
         # the row is read once here rather than looked up node by node.
         self.source_costs = topo.shortest_path_costs(source)
+        # The walk's trap links: a mesh's first run builds them here, before
+        # run() starts its clock.
+        self.trap_links = topo.trap_links
         self._scores: dict[tuple[int, ...], FitnessBreakdown] = {}
         # Per stitch origin: its predecessor row, which nodes have settled,
         # and the suspended search filling them.
@@ -249,7 +252,7 @@ def random_walk_path(ctx: RouteContext, rng: random.Random) -> list[int]:
     gateway after WALK_RESTARTS attempts.
     """
     source, gateways = ctx.source, ctx.gateways
-    adjacency, traps = ctx.topo.adjacency, ctx.topo.trap_links
+    adjacency, traps = ctx.topo.adjacency, ctx.trap_links
     getrandbits = rng.getrandbits
     for _ in range(WALK_RESTARTS):
         path = [source]

@@ -14,14 +14,19 @@ Rows read whole run it to the end and are cached on the mesh as compact
 arrays per source tuple: one node, or all gateways together.  A detour query
 stops it at its target.  A route solver keeps one suspended search per
 stitch origin for the length of a run and leaves each one's settled prefix
-on the mesh (see routing.RouteContext).  numpy (used by the generator) is
-the only third-party dependency.
+on the mesh (see routing.RouteContext).  The gateways' row ranks the mesh's
+candidate sources once, and the mesh keeps that ranking (ranked_sources)
+for every benchmark source pick.  numpy (used by the generator) is the only
+third-party dependency.
 
 The generator places nodes with numpy's uniform draws and then decodes each
 node's radios and each link's channel and weights from blocks of raw PCG64
 words, replaying numpy's rules for turning words into draws (_Pcg64Draws),
 so every mesh and the RNG state it leaves are those of one Generator call
-per drawn value.
+per drawn value.  Each link's interference comes from its smallest channel
+gap to a link sharing an endpoint, from per-node channel counts in plain
+dicts.  The gateway k-means stops at its fixed point: the first of its at
+most 12 Lloyd iterations that leaves the centres bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ import json
 import math
 import numbers
 from array import array
-from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
@@ -221,10 +225,12 @@ class MeshTopology:
         # in link insertion order: Dijkstra relaxes neighbours in that order,
         # which fixes how equal-cost ties break.  Every other view of the
         # links derives from this table.  Read it, never modify it.
+        # Endpoints are plain ints (checked above), so one range test each.
+        n = len(self.nodes)
         table: list[dict[int, Link]] = [{} for _ in self.nodes]
         for link in links:
             u, v = link.u, link.v
-            if not (self.has_node(u) and self.has_node(v)):
+            if not (0 <= u < n and 0 <= v < n):
                 raise TopologyError(f"link {u}-{v} references unknown node")
             if v in table[u]:
                 raise TopologyError(f"duplicate link {link.key}")
@@ -408,6 +414,18 @@ class MeshTopology:
                 disc[c] <= disc[v] < end[c] for c in children))
         return tuple(table)
 
+    @cached_property
+    def ranked_sources(self) -> tuple[int, ...]:
+        """The nodes other than gateways that reach a gateway, by ascending
+        gateway_costs(), equal costs by ascending id.  Ranked once per
+        mesh and kept, read-only, for every source pick (cli.default_source).
+        """
+        cost, gateways = self.gateway_costs(), self.gateways
+        # A stable sort of ascending ids: equal costs rank by id.
+        return tuple(sorted([n for n in range(self.node_count)
+                             if n not in gateways and cost[n] != UNREACHABLE],
+                            key=cost.__getitem__))
+
     def shortest_path_cost(self, source: int, target: int) -> float:
         """Minimal sum of link costs, or the UNREACHABLE marker (inf)."""
         if not (self.has_node(source) and self.has_node(target)):
@@ -543,20 +561,29 @@ def _worst_interference(links: Sequence[tuple[int, int, int]],
     the factor of the smallest channel gap.
     """
     # in_use[x][c]: how many of node x's links are on channel c.
-    in_use: defaultdict[int, Counter[int]] = defaultdict(Counter)
+    in_use: dict[int, dict[int, int]] = {}
     for u, v, channel in links:
-        in_use[u][channel] += 1
-        in_use[v][channel] += 1
+        for x in (u, v):
+            counts = in_use.get(x)
+            if counts is None:
+                in_use[x] = {channel: 1}
+            else:
+                counts[channel] = counts.get(channel, 0) + 1
     factors = []
     for u, v, channel in links:
-        if in_use[u][channel] > 1 or in_use[v][channel] > 1:
+        at_u, at_v = in_use[u], in_use[v]
+        if at_u[channel] > 1 or at_v[channel] > 1:
             gap = 0  # another link at an endpoint is on the same channel
         else:
             # The link is alone on its channel at both ends, so every other
-            # channel in use there is another link's.
-            gap = min((abs(c - channel) for x in (u, v) for c in in_use[x]
-                       if c != channel), default=None)
-        factors.append(0.0 if gap is None else interference_factor(gap))
+            # channel in use there is another link's.  With none, the gap
+            # is one that interference_factor counts as orthogonal.
+            gap = len(IFACTOR_TABLE)
+            for c in (*at_u, *at_v):
+                d = c - channel if c > channel else channel - c
+                if 0 < d < gap:
+                    gap = d
+        factors.append(interference_factor(gap))
     return factors
 
 
@@ -630,13 +657,18 @@ def _pick_gateways(positions: np.ndarray, count: int,
     # positions; each gateway is the node nearest a cluster center.
     n = len(positions)
     centers = positions[rng.choice(n, size=count, replace=False)].copy()
+    # Lloyd's iterations, at most 12.  Each depends only on the centers, so
+    # once one leaves them bitwise unchanged every later one would too.
     for _ in range(12):
         d2 = ((positions[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assign = d2.argmin(axis=1)
+        previous = centers.copy()
         for k in range(count):
             members = positions[assign == k]
             if len(members):
                 centers[k] = members.mean(axis=0)
+        if np.array_equal(centers, previous):
+            break
     chosen: list[int] = []
     for k in range(count):
         order = np.argsort(((positions - centers[k]) ** 2).sum(axis=1))

@@ -192,9 +192,17 @@ MUTANTS = [
      "        if k == 1:\n            return 0\n",
      ""),
     ("default_source ranks equal costs by descending id",
-     "src/meshroute/cli.py",
-     "key=cost.__getitem__)",
-     "key=lambda n: (cost[n], -n))"),
+     "src/meshroute/topology.py",
+     "key=cost.__getitem__))",
+     "key=lambda n: (cost[n], -n)))"),
+    ("k-means leaves after its first iteration",
+     "src/meshroute/topology.py",
+     "        if np.array_equal(centers, previous):\n            break\n",
+     "        break\n"),
+    ("the interference pass ignores a co-channel link at the second endpoint",
+     "src/meshroute/topology.py",
+     "if at_u[channel] > 1 or at_v[channel] > 1:",
+     "if at_u[channel] > 1:"),
 ]
 
 # Equivalent edits, not run, each with the reason it cannot be told apart:
@@ -215,6 +223,9 @@ MUTANTS = [
 #   which no stitch or detour query waits for.
 # - "two radios order as a <= b" (``if a < b`` in generate_topology):
 #   Floyd's second draw never equals the first, so both orders agree.
+# - "k-means runs all 12 iterations" (_pick_gateways without its fixed-point
+#   break): an iteration that leaves the centres bitwise unchanged gives
+#   the same centres again, so the gateways agree; it only costs time.
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".hypothesis", "*.egg-info")

@@ -215,6 +215,15 @@ class TestRouteContext:
             run(topo, 1, REQ, coeffs, config).to_dict())
         assert json.loads(json.dumps(result)) == result
 
+    def test_context_builds_the_trap_links_before_the_run_clock(self):
+        # run() starts its clock after building its context, so a mesh's
+        # first run does not time the cut-vertex search.
+        topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
+        assert "trap_links" not in topo.__dict__
+        ctx = ctx_for(topo, default_source(topo))
+        assert "trap_links" in topo.__dict__
+        assert ctx.trap_links is topo.trap_links
+
 
 class TestStitch:
     """RouteContext.stitch(u, v) is topo.shortest_path(u, v) in any order

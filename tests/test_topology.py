@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 from unittest import mock
 
@@ -76,8 +76,9 @@ def reference_detour(topo, source, target, avoid):
 def reference_generate_topology(params: TopologyParams) -> MeshTopology:
     """generate_topology as first written: one Generator call per drawn
     value, each Link built and then rebuilt with its interference, the
-    interference a max over every pair of links sharing an endpoint, and
-    stitching distances recomputed every round."""
+    interference a max over every pair of links sharing an endpoint,
+    stitching distances recomputed every round, and always 12 k-means
+    iterations for the gateways."""
     rng = np.random.default_rng(params.rng_seed)
     width, height = params.resolved_area()
     n = params.node_count
@@ -164,8 +165,8 @@ def reference_generate_topology(params: TopologyParams) -> MeshTopology:
                 worst = max(worst, interference_factor(sep))
         finished.append(replace(link, i_factor=worst))
 
-    gateways = _pick_gateways(np.stack([xs, ys], axis=1),
-                              params.gateway_count, rng)
+    gateways = reference_pick_gateways(np.stack([xs, ys], axis=1),
+                                       params.gateway_count, rng)
     return MeshTopology(nodes, finished, set(gateways),
                         params.transmission_range)
 
@@ -192,7 +193,33 @@ def generate_with_state(make, params):
     return text, rng.bit_generator.state
 
 
-def reference_worst_interference(links):
+def reference_centers(positions, count, rng, iterations=12):
+    """The gateway k-means centres after ``iterations`` Lloyd iterations,
+    as _pick_gateways was first written."""
+    n = len(positions)
+    centers = positions[rng.choice(n, size=count, replace=False)].copy()
+    for _ in range(iterations):
+        d2 = ((positions[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assign = d2.argmin(axis=1)
+        for k in range(count):
+            members = positions[assign == k]
+            if len(members):
+                centers[k] = members.mean(axis=0)
+    return centers
+
+
+def reference_pick_gateways(positions, count, rng):
+    """_pick_gateways as first written: always 12 Lloyd iterations, then
+    each centre's nearest node not yet chosen."""
+    centers = reference_centers(positions, count, rng)
+    chosen = []
+    for k in range(count):
+        order = np.argsort(((positions - centers[k]) ** 2).sum(axis=1))
+        chosen.append(int(next(i for i in order if int(i) not in chosen)))
+    return sorted(chosen)
+
+
+def brute_force_worst_interference(links):
     """Per (u, v, channel) link, the max interference_factor over every
     other link sharing an endpoint, 0.0 with none."""
     worst = []
@@ -201,6 +228,24 @@ def reference_worst_interference(links):
                           for j, (a, b, c) in enumerate(links)
                           if j != i and {a, b} & {u, v}), default=0.0))
     return worst
+
+
+def reference_worst_interference(links):
+    """_worst_interference as it counted channels in a defaultdict of
+    Counters and took the smallest gap from a generator."""
+    in_use = defaultdict(Counter)
+    for u, v, channel in links:
+        in_use[u][channel] += 1
+        in_use[v][channel] += 1
+    factors = []
+    for u, v, channel in links:
+        if in_use[u][channel] > 1 or in_use[v][channel] > 1:
+            gap = 0
+        else:
+            gap = min((abs(c - channel) for x in (u, v) for c in in_use[x]
+                       if c != channel), default=None)
+        factors.append(0.0 if gap is None else interference_factor(gap))
+    return factors
 
 
 class TestInterferenceFactor:
@@ -521,16 +566,94 @@ class TestWorstInterference:
             channels = rng.sample(range(1, NUM_CHANNELS + 1),
                                   rng.randint(1, 4))
             links = [(u, v, rng.choice(channels)) for u, v in pairs]
-            assert (_worst_interference(links)
-                    == reference_worst_interference(links))
+            want = brute_force_worst_interference(links)
+            assert _worst_interference(links) == want
+            assert reference_worst_interference(links) == want
 
     def test_lone_links_and_duplicates(self):
         # 0-1 and 2-3 share no endpoint with any link; 4-5 and 5-6 share
         # node 5 and a channel; 6-7 is 3 channels from 5-6.
         links = [(0, 1, 3), (2, 3, 3), (4, 5, 6), (5, 6, 6), (6, 7, 9)]
         assert _worst_interference(links) == [0.0, 0.0, 1.0, 1.0, 0.2]
-        assert _worst_interference(links) == reference_worst_interference(
+        assert _worst_interference(links) == brute_force_worst_interference(
             links)
+
+    @pytest.mark.parametrize("links, factors", [
+        # 0-1 shares channel 6 with 0-2 at its first endpoint; 1-3 is 3
+        # channels from 0-1.
+        ([(0, 1, 6), (0, 2, 6), (1, 3, 9)], [1.0, 1.0, 0.2]),
+        # 0-1 shares channel 6 with 1-2 at its second endpoint; 0-3 is 3
+        # channels from 0-1.
+        ([(0, 1, 6), (1, 2, 6), (0, 3, 9)], [1.0, 1.0, 0.2]),
+        # Co-channel at both endpoints.
+        ([(3, 1, 2), (1, 4, 2), (3, 5, 2)], [1.0, 1.0, 1.0]),
+        ([(0, 1, 4)], [0.0]),
+        # Only orthogonal neighbours: gaps of 5 and 10.
+        ([(0, 1, 1), (1, 2, 6), (0, 3, 11)], [0.0, 0.0, 0.0]),
+        # The smallest gap wins: for 0-1 it is at its second endpoint (7,
+        # 2 away), for 1-4 at its first (5, 2 away).
+        ([(0, 1, 5), (0, 2, 9), (1, 3, 1), (1, 4, 7)], [0.4, 0.1, 0.1, 0.4]),
+    ], ids=["cochannel-first-end", "cochannel-second-end",
+            "cochannel-both-ends", "isolated", "orthogonal", "least-gap"])
+    def test_hand_built_cases(self, links, factors):
+        assert _worst_interference(links) == factors
+        assert reference_worst_interference(links) == factors
+
+    @pytest.mark.parametrize("node_count", [25, 125, 200])
+    def test_matches_reference_on_generated_meshes(self, node_count):
+        for seed in range(3):
+            topo = generate_topology(TopologyParams(node_count,
+                                                    rng_seed=seed))
+            ends = [(l.u, l.v, l.channel) for l in topo.links]
+            factors = _worst_interference(ends)
+            assert factors == reference_worst_interference(ends)
+            assert factors == [l.i_factor for l in topo.links]
+
+
+class TestPickGateways:
+    """_pick_gateways leaves its k-means once an iteration leaves the
+    centres bitwise unchanged; its gateways, and the draws it makes, are
+    those of always running 12 iterations."""
+
+    @staticmethod
+    def inputs(params):
+        """The positions, gateway count and bit-generator state that
+        generate_topology hands _pick_gateways."""
+        caught = []
+
+        def spy(positions, count, rng):
+            caught.append((positions.copy(), count, rng.bit_generator.state))
+            return _pick_gateways(positions, count, rng)
+        with mock.patch("meshroute.topology._pick_gateways", spy):
+            generate_topology(params)
+        (got,) = caught
+        return got
+
+    @staticmethod
+    def generator(state):
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = state
+        return rng
+
+    # (nodes, seed, whether the twelfth iteration still moves the centres)
+    @pytest.mark.parametrize("node_count, seed, unsettled", [
+        (25, 0, False), (25, 1, False), (25, 2, False),
+        (125, 0, False), (125, 1, False), (125, 10, True),
+        (200, 0, True), (200, 1, True), (200, 2, False),
+        (500, 0, False), (500, 1, True),
+        (1000, 0, True), (1000, 1, False),
+    ])
+    def test_matches_twelve_iterations(self, node_count, seed, unsettled):
+        positions, count, state = self.inputs(TopologyParams(node_count,
+                                                             rng_seed=seed))
+        got_rng, want_rng = self.generator(state), self.generator(state)
+        got = _pick_gateways(positions, count, got_rng)
+        assert got == reference_pick_gateways(positions, count, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        eleven, twelve = (
+            reference_centers(positions, count, self.generator(state), i)
+            for i in (11, 12))
+        assert (not np.array_equal(eleven, twelve)) == unsettled
 
 
 class TestShortestPath:
@@ -693,6 +816,28 @@ class TestMultiSourceCosts:
                 assert (default_source(topo, p)
                         == self.tuple_ranked_source(topo, p)), p
 
+    def test_default_source_ranks_each_mesh_once(self, monkeypatch):
+        percentiles = [0.0] + [round(0.05 * k, 2) for k in range(1, 20)]
+        calls = []
+        original = MeshTopology.gateway_costs
+
+        def counted(topo):
+            calls.append(topo)
+            return original(topo)
+        monkeypatch.setattr(MeshTopology, "gateway_costs", counted)
+        meshes = [generate_topology(TopologyParams(125, rng_seed=s))
+                  for s in range(2)]
+        assert calls == []
+        first = [default_source(meshes[0], p) for p in percentiles]
+        assert calls == [meshes[0]]
+        assert [default_source(meshes[0], p) for p in percentiles] == first
+        assert calls == [meshes[0]]
+        default_source(meshes[1], 0.5)
+        assert calls == meshes
+        assert type(meshes[0].ranked_sources) is tuple
+        assert [self.tuple_ranked_source(meshes[0], p)
+                for p in percentiles] == first
+
     @pytest.mark.parametrize("percentile", [
         -0.1, 1.0, 1.5, math.nan, math.inf, -math.inf, False, True, "0.5",
         None, 0.5j, pytest.param(10**400, id="10**400")])
@@ -770,6 +915,16 @@ class TestAdjacency:
                      Link(u, v, **LINK_DEFAULTS)]
             with pytest.raises(TopologyError, match="duplicate link"):
                 MeshTopology(nodes, links, {2}, 250.0)
+
+    @pytest.mark.parametrize("u, v", [(-1, 1), (1, -1), (3, 0), (0, 3),
+                                      (np.int64(1), 2)],
+                             ids=["-1-first", "-1-second", "n-first",
+                                  "n-second", "numpy-int"])
+    def test_endpoint_that_is_no_node_rejected(self, u, v):
+        nodes = [Node(i, 10.0 * i, 0.0, (1, 6)) for i in range(3)]
+        links = [Link(0, 1, **LINK_DEFAULTS), Link(u, v, **LINK_DEFAULTS)]
+        with pytest.raises(TopologyError, match="unknown node|integers"):
+            MeshTopology(nodes, links, {2}, 250.0)
 
     def test_connectivity(self):
         assert UNREACHABLE not in make_topo(3, {(0, 1): {}, (1, 2): {}},
