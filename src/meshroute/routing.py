@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 import random
 import time
-from array import array
 from dataclasses import asdict, dataclass, field
 
 from .qos import FitnessBreakdown, PenaltyCoeffs, QosRequest, fitness
-from .topology import UNREACHABLE, MeshTopology, _trace, validate_path
+from .topology import MeshTopology, validate_path
 
 
 # HybridConfig.algorithm's values: pure PSO, pure GA and the hybrid.
@@ -104,12 +103,9 @@ class RouteContext:
     topology's gateways.
 
     The context holds the source's cost row for the merge, each route's
-    fitness, and repair's stitch searches: one Dijkstra per stitch origin,
-    suspended once the requested target settles and resumed for a farther
-    one, so a run settles no more of the mesh than its stitches ask for.
-    All three live as long as the context, which is one run.  At its end
-    the run leaves each search's settled prefix on the topology, where
-    later runs on the mesh read the stitches it covers.
+    fitness, and the run's own stitch searches, which repair passes to
+    MeshTopology.stitch.  All three live as long as the context, which is
+    one run.
     """
 
     def __init__(self, topo: MeshTopology, source: int,
@@ -135,9 +131,8 @@ class RouteContext:
         # run() starts its clock.
         self.trap_links = topo.trap_links
         self._scores: dict[tuple[int, ...], FitnessBreakdown] = {}
-        # Per stitch origin: its predecessor row, which nodes have settled,
-        # and the suspended search filling them.
-        self._stitches: dict[int, tuple] = {}
+        # Repair's stitch searches, one per origin (MeshTopology.stitch).
+        self.searches: dict[int, tuple] = {}
 
     def fitness(self, path: list[int]) -> FitnessBreakdown:
         """F of ``path``, computed once per distinct node sequence.
@@ -154,44 +149,6 @@ class RouteContext:
             scored = self._scores[key] = fitness(self.topo, path, self.req,
                                                  self.coeffs)
         return scored
-
-    def stitch(self, u: int, v: int) -> list[int] | None:
-        """topo.shortest_path(u, v): a least-cost path, or None when none
-        exists.  A settled node's distance and predecessor chain are final,
-        so the path is read from the prefix an earlier run on the mesh
-        settled from ``u`` when ``v`` is in it.  Otherwise this run's search
-        from ``u`` runs only until ``v`` has settled, and later stitches
-        from ``u`` resume it where it stopped."""
-        kept = self.topo._stitched.get(u)
-        if kept is not None and kept[1][v]:
-            pred = kept[0]
-        else:
-            search = self._stitches.get(u)
-            if search is None:
-                n = self.topo.node_count
-                dist, pred = [UNREACHABLE] * n, [-1] * n
-                search = self._stitches[u] = (
-                    pred, bytearray(n), self.topo._search((u,), dist, pred))
-            pred, settled, steps = search
-            if not settled[v]:
-                for w in steps:
-                    settled[w] = 1
-                    if w == v:
-                        break
-                else:
-                    return None
-        path = _trace(pred, v)
-        path.reverse()
-        return path
-
-    def keep_stitches(self) -> None:
-        """Leave each of this run's stitch searches on the topology as its
-        settled prefix, for later runs on the mesh to read.  A search from
-        ``u`` starts only for a target past the prefix kept from ``u``, and
-        settles the same nodes in the same order, so it holds more."""
-        kept = self.topo._stitched
-        for u, (pred, settled, _) in self._stitches.items():
-            kept[u] = (array("l", pred), bytes(settled))
 
 
 # -- path surgery ----------------------------------------------------------
@@ -225,14 +182,14 @@ def repair_path(raw: list[int], ctx: RouteContext) -> list[int]:
     ``p[b:]``.  Excision keeps adjacency, the source and the last node, so
     the result is a simple route with one gateway, at its end.
     """
-    table, stitch = ctx.topo.link_table, ctx.stitch
+    table, stitch = ctx.topo.link_table, ctx.topo.stitch
     stitched = [raw[0]]
     for v in raw[1:]:
         u = stitched[-1]
         if v in table[u]:
             stitched.append(v)
         else:
-            stitched.extend(stitch(u, v)[1:])
+            stitched.extend(stitch(u, v, ctx.searches)[1:])
     seq = remove_loops(stitched)
     end = next(i for i, node in enumerate(seq) if node in ctx.gateways)
     return seq[:end + 1]
@@ -537,7 +494,6 @@ def run(topo: MeshTopology, source: int, req: QosRequest,
                                       tournament=(config.algorithm == "ga")))
         swarm = dedupe(next_gen, ctx, rng)
 
-    ctx.keep_stitches()
     return RunResult(
         best_path=list(best.path),
         best_fitness=best.fitness,

@@ -152,25 +152,37 @@ MUTANTS = [
      "for link in links:",
      "for link in reversed(links):"),
     ("a stitch stops once its target is reached, not settled",
-     "src/meshroute/routing.py",
+     "src/meshroute/topology.py",
      "if not settled[v]:",
      "if pred[v] == -1 and not settled[v]:"),
     ("a stitch search marks only its target settled",
-     "src/meshroute/routing.py",
+     "src/meshroute/topology.py",
      "settled[w] = 1",
      "settled[v] = 1"),
     ("an unreachable stitch target gives its origin alone",
-     "src/meshroute/routing.py",
-     "return None",
-     "return [u]"),
+     "src/meshroute/topology.py",
+     "                else:\n                    return None\n",
+     "                else:\n                    return [u]\n"),
     ("a kept prefix is read for a target it has not settled",
-     "src/meshroute/routing.py",
+     "src/meshroute/topology.py",
      "if kept is not None and kept[1][v]:",
      "if kept is not None:"),
-    ("a run keeps none of its stitch searches",
-     "src/meshroute/routing.py",
-     "ctx.keep_stitches()",
-     "None"),
+    ("a stitch search is not published on the mesh",
+     "src/meshroute/topology.py",
+     "self._stitched[u] = (pred, settled)",
+     "pass"),
+    ("a run resumes the mesh's latest search instead of its own",
+     "src/meshroute/topology.py",
+     "pred, settled, steps = search",
+     "pred, settled, steps = *self._stitched[u], search[2]"),
+    ("a stitch starts its search afresh",
+     "src/meshroute/topology.py",
+     "search = searches.get(u)",
+     "search = None"),
+    ("a stitch never reads the mesh's prefix",
+     "src/meshroute/topology.py",
+     "if kept is not None and kept[1][v]:",
+     "if False:"),
     ("the radio draw skips the shuffle's draw",
      "src/meshroute/topology.py",
      "        draws.below(2)\n",
@@ -209,10 +221,6 @@ MUTANTS = [
 # - "gbest merge reads C1" (routing.oplus_update, ``C2 * rng.random()`` to
 #   ``C1 * rng.random()``): C1 == C2 == 1.5, so every run is unchanged; only
 #   a test that sets the two apart (test_gbest_merge_uses_c2) sees it.
-# - "a stitch starts its search afresh" (RouteContext.stitch builds a new
-#   search on every call): a fresh search settles the same nodes with the
-#   same distances and predecessors on its way to the target; it only
-#   costs time.
 # - "the search yields a node after relaxing its links"
 #   (MeshTopology._search): a settled node's distance and predecessor chain
 #   are final either way, so every caller reads the same rows; a stopped

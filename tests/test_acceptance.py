@@ -30,6 +30,7 @@ enters only as a cap, so a lower-F route need not deliver more or sooner.
 """
 
 import gc
+import itertools
 import json
 import math
 import random
@@ -121,18 +122,19 @@ def attainment_times_ms(results, best_known: float) -> dict:
 
 @pytest.fixture(scope="module")
 def sweep():
-    """SWEEP's instances by size.  For criterion 4's timing, each mesh gets
-    every node's cost row as it is generated.  Of those rows the runs share
-    only the source's, which each run reads before its clock starts; the
-    gateway tree comes with source selection, and the stitch prefixes runs
-    leave on the mesh are not used in iteration 1, the one criterion 4
-    times.  Cyclic GC is off while an instance is solved, as timeit does,
-    so no collection of the whole test process's heap is timed as part of a
-    solve."""
+    """SWEEP's instances by size.  For criterion 4's timing, each mesh's
+    stitch store is filled as it is generated: one stitch from every node
+    to every node completes each origin's search.  So no algorithm's clock
+    pays for stitch searches whose prefixes the algorithms after it on the
+    mesh would read; the source's cost row is read before a run's clock
+    starts, and the gateway tree comes with source selection.  Cyclic GC
+    is off while an instance is solved, as timeit does, so no collection
+    of the whole test process's heap is timed as part of a solve."""
     def warmed(params):
         topo = generate_topology(params)
-        for n in range(topo.node_count):
-            topo.shortest_path_costs(n)
+        searches = {}
+        for u, v in itertools.product(range(topo.node_count), repeat=2):
+            topo.stitch(u, v, searches)
         return topo
 
     instances = {size: [] for size in SWEEP.node_sizes}

@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshroute.topology import TopologyParams, generate_topology, validate_path
+from meshroute.topology import (MeshTopology, TopologyParams,
+                                generate_topology, validate_path)
 from meshroute.qos import PenaltyCoeffs, QosRequest
 from meshroute.routing import (
     HybridConfig,
@@ -36,6 +39,7 @@ from conftest import (brute_force_trap_links, island_mesh, make_topo,
 from oracle import enumerate_simple_paths, oracle_best
 from test_behaviour_pin import (SEARCH_PERCENTILES, SEARCH_REQ, SEARCH_SIZES,
                                 SEEDS, tie_mesh)
+from test_topology import reference_detour
 
 
 REQ = QosRequest(bw_req=5.0, d_req=100.0, j_req=100.0, beta=0.0)
@@ -226,21 +230,20 @@ class TestRouteContext:
 
 
 class TestStitch:
-    """RouteContext.stitch(u, v) is topo.shortest_path(u, v) in any order
+    """topo.stitch(u, v, searches) is topo.shortest_path(u, v) in any order
     of queries, though each origin's search stops once its target settles
     and resumes only for a target it has not settled, and a later run
-    reads what an earlier one kept."""
+    reads what an earlier one left on the mesh."""
 
     @staticmethod
     def assert_stitches_match(topo, queries):
-        # Two contexts in turn, as two runs on one mesh: the second reads
-        # the prefixes the first kept, and searches past them.
+        # Two searches dicts in turn, as two runs on one mesh: the second
+        # reads the prefixes the first left, and searches past them.
         half = len(queries) // 2
         for part in (queries[:half], queries[half:]):
-            ctx = ctx_for(topo, source_for(topo))
+            searches = {}
             for u, v in part:
-                assert ctx.stitch(u, v) == topo.shortest_path(u, v)
-            ctx.keep_stitches()
+                assert topo.stitch(u, v, searches) == topo.shortest_path(u, v)
 
     @pytest.mark.parametrize("node_count", [25, 125])
     def test_any_query_order_matches_shortest_path(self, node_count):
@@ -282,13 +285,13 @@ class TestStitch:
     def test_run_caches_only_the_source_row_and_the_gateway_tree(
             self, monkeypatch, algorithm):
         stitches = Counter()
-        stitch = RouteContext.stitch
+        stitch = MeshTopology.stitch
 
-        def counting(ctx, u, v):
+        def counting(topo, u, v, searches):
             stitches[u] += 1
-            return stitch(ctx, u, v)
+            return stitch(topo, u, v, searches)
 
-        monkeypatch.setattr(RouteContext, "stitch", counting)
+        monkeypatch.setattr(MeshTopology, "stitch", counting)
         topo = generate_topology(TopologyParams(node_count=125, rng_seed=0))
         source = default_source(topo, 0.75)
         run(topo, source, REQ, PenaltyCoeffs.for_request(REQ, topo),
@@ -313,6 +316,137 @@ class TestStitch:
                         for topo in (shared, generate_topology(params))]
                 assert runs[0] == runs[1]
         assert kept[0] == 0 and kept[-1] > 0
+
+    @staticmethod
+    def mesh_and_order(node_count, mesh_seed, u=0):
+        """A generated mesh and its nodes by cost from ``u``, in the order a
+        search from ``u`` settles them."""
+        topo = generate_topology(TopologyParams(node_count=node_count,
+                                                rng_seed=mesh_seed))
+        cost = topo.shortest_path_costs(u)
+        return topo, sorted(range(topo.node_count), key=cost.__getitem__)
+
+    @pytest.mark.parametrize("node_count, mesh_seed",
+                             [(125, 0), (25, 1), (60, 2), (200, 3)])
+    def test_interleaved_runs_on_a_shared_mesh_resume_their_own_searches(
+            self, node_count, mesh_seed):
+        # Run A settles a near target from u; run B searches from u to a
+        # farther one, which replaces the mesh's entry for u; A then asks
+        # for a target past B's prefix, which it must search with its own
+        # search: B's predecessors past that prefix are not final.
+        u = 0
+        topo, order = self.mesh_and_order(node_count, mesh_seed, u)
+        near, far, past = (order[node_count // 25], order[node_count // 3],
+                           order[-1])
+        run_a, run_b = {}, {}
+
+        def check(searches, v):
+            assert topo.stitch(u, v, searches) == reference_detour(
+                topo, u, v, frozenset())
+
+        check(run_a, near)
+        check(run_b, far)
+        pred, settled = topo._stitched[u]
+        assert pred is run_b[u][0] and not settled[past]
+        check(run_a, past)
+        check(run_b, near)
+        check(run_b, past)
+        check(run_a, far)
+
+    @pytest.mark.parametrize("node_count", [25, 125])
+    def test_runs_in_threads_on_a_shared_mesh_match_shortest_path(
+            self, node_count):
+        # Four runs in threads, each with its own searches dict, stitch from
+        # the same few origins of one mesh, so each publishes prefixes the
+        # others read while the interpreter switches threads every few
+        # bytecodes.
+        params = TopologyParams(node_count=node_count, rng_seed=4)
+        shared, fresh = generate_topology(params), generate_topology(params)
+        rng = random.Random(node_count)
+        origins = rng.sample(range(node_count), 5)
+        runs = [[(rng.choice(origins), rng.randrange(node_count))
+                 for _ in range(300)] for _ in range(4)]
+        got = [None] * len(runs)
+
+        def solve(k):
+            searches = {}
+            got[k] = [shared.stitch(u, v, searches) for u, v in runs[k]]
+
+        threads = [threading.Thread(target=solve, args=(k,))
+                   for k in range(len(runs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for queries, paths in zip(runs, got):
+            assert paths == [fresh.shortest_path(u, v) for u, v in queries]
+
+    def test_a_target_the_mesh_has_settled_is_read_without_a_search(self):
+        u = 0
+        topo, order = self.mesh_and_order(125, 0, u)
+        topo.stitch(u, order[60], {})
+        later = {}
+        for v in order[:61]:
+            assert topo.stitch(u, v, later) == reference_detour(
+                topo, u, v, frozenset())
+        assert later == {}
+
+    def test_a_search_is_published_on_the_mesh_as_it_runs(self):
+        # No step at the end of a run: the mesh holds the search's own
+        # lists from its start, and sees each node the run settles.
+        u = 0
+        topo, order = self.mesh_and_order(125, 0, u)
+        searches = {}
+        topo.stitch(u, order[10], searches)
+        pred, settled, _ = searches[u]
+        kept = topo._stitched[u]
+        assert kept[0] is pred and kept[1] is settled and sum(settled) == 11
+        topo.stitch(u, order[50], searches)
+        assert topo._stitched[u] is kept and sum(settled) == 51
+
+    def test_a_run_resumes_one_search_per_origin(self, monkeypatch):
+        # Farther targets resume the run's search from u; none starts anew.
+        u = 0
+        topo, order = self.mesh_and_order(125, 0, u)
+        started = Counter()
+        search = MeshTopology._search
+
+        def counting(mesh, sources, *args):
+            started[tuple(sources)] += 1
+            return search(mesh, sources, *args)
+
+        monkeypatch.setattr(MeshTopology, "_search", counting)
+        searches = {}
+        for k in (3, 20, 70, 124, 50):
+            assert topo.stitch(u, order[k], searches) == reference_detour(
+                topo, u, order[k], frozenset())
+        assert started == {(u,): 1} and all(searches[u][1])
+
+    def test_the_mesh_keeps_the_largest_prefix_runs_left(self):
+        # Runs one after another: a run searches from u only past the
+        # prefix the mesh holds, so each origin's prefix on the mesh only
+        # grows, and every target a run asked for stays settled.
+        topo = generate_topology(TopologyParams(node_count=60, rng_seed=5))
+        rng = random.Random(5)
+        origins = rng.sample(range(topo.node_count), 3)
+        asked = {u: set() for u in origins}
+        before = {}
+        for _ in range(8):
+            searches = {}
+            for _ in range(rng.randrange(1, 15)):
+                u, v = rng.choice(origins), rng.randrange(topo.node_count)
+                assert topo.stitch(u, v, searches) == topo.shortest_path(u, v)
+                asked[u].add(v)
+            now = {u: {w for w, flag in enumerate(settled) if flag}
+                   for u, (_, settled) in topo._stitched.items()}
+            assert all(kept <= now[u] for u, kept in before.items())
+            assert all(vs <= now.get(u, set()) for u, vs in asked.items())
+            before = now
 
 
 class TestAlter:

@@ -39,30 +39,6 @@ def reference_simulate(topo, path, traffic):
                      packet_count=n)
 
 
-def reference_simulate_row_mask(topo, path, traffic):
-    """simulate_path's body with its delivery mask taken over each packet's
-    row of draws, ``(draws >= loss).all(axis=1)``, and both blocks of draws
-    alive at once."""
-    table = topo.link_table
-    links = [table[u][v] for u, v in zip(path, path[1:])]
-    n = traffic.packet_count
-    rng = np.random.default_rng(traffic.seed)
-    if not links:
-        return SimResult(pdr=1.0, avg_delay=0.0, delivered_count=n,
-                         packet_count=n)
-    loss = np.array([l.loss_prob for l in links])
-    base_delay = plain_sum(l.delay for l in links)
-    jitter = np.array([l.jitter for l in links])
-    delivered = (rng.random((n, len(links))) >= loss).all(axis=1)
-    jitter_samples = rng.random((n, len(links)))
-    jitter_samples *= jitter
-    delays = float(base_delay) + jitter_samples.sum(axis=1)[delivered]
-    count = len(delays)
-    avg = float(delays.mean()) if count else math.nan
-    return SimResult(pdr=count / n, avg_delay=avg, delivered_count=count,
-                     packet_count=n)
-
-
 def binomial_3sigma(p_expected, n):
     return 3 * math.sqrt(p_expected * (1 - p_expected) / n)
 
@@ -129,10 +105,12 @@ class TestSimulatePath:
 
     def test_matches_uniform_reference(self, monkeypatch):
         # Generated multi-hop routes, a route through a link that drops
-        # every packet, a one-node path, and a lossless route without
-        # jitter whose delays add to 0.6000000000000001 left to right but
-        # to 0.6 by Python 3.12's compensated sum(), which the module must
-        # not use.
+        # every packet, a one-node path, a lossless route without jitter
+        # whose delays add to 0.6000000000000001 left to right but to 0.6
+        # by Python 3.12's compensated sum(), which the module must not
+        # use, and routes of 1 to 12 hops along a line whose links differ
+        # in every weight: at up to 30 % loss a hop, the longer routes
+        # deliver few packets, and one packet alone is often lost.
         monkeypatch.setattr(simulation, "sum", compensated_sum,
                             raising=False)
         dead = make_topo(4, {(0, 1): {"loss_prob": 0.1},
@@ -141,15 +119,26 @@ class TestSimulatePath:
         exact = make_topo(4, {(i, i + 1): {"delay": (i + 1) / 10,
                                            "jitter": 0.0, "loss_prob": 0.0}
                               for i in range(3)}, gateways={3})
+        rng = np.random.default_rng(12)
+        line = make_topo(13, {(i, i + 1): {
+            "delay": float(rng.uniform(0.5, 2.0)),
+            "jitter": float(rng.uniform(0.5, 2.0)),
+            "loss_prob": float(rng.uniform(0.001, 0.3))} for i in range(12)},
+            gateways={12})
         cases = [(dead, [0, 1, 2, 3]), (dead, [3]), (exact, [0, 1, 2, 3])]
         for seed in range(3):
             topo = generate_topology(TopologyParams(node_count=60,
                                                     rng_seed=seed))
             cases += [(topo, topo.gateway_path(n)) for n in (0, 20, 40)]
         assert any(len(path) > 4 for _, path in cases)
-        for k, (topo, path) in enumerate(cases):
+        # Traffic seeds: a case's index, and a line route's hop count.
+        cases = list(enumerate(cases)) + [
+            (hops, (line, list(range(12 - hops, 13))))
+            for hops in range(1, 13)]
+        lost = 0
+        for seed, (topo, path) in cases:
             for count in (1, 7, 5000):
-                traffic = TrafficSpec(count, seed=k)
+                traffic = TrafficSpec(count, seed=seed)
                 got = simulate_path(topo, path, traffic)
                 want = reference_simulate(topo, path, traffic)
                 assert (got.pdr, got.delivered_count, got.packet_count) == (
@@ -158,34 +147,10 @@ class TestSimulatePath:
                         or math.isnan(got.avg_delay)
                         and math.isnan(want.avg_delay))
                 assert type(got.delivered_count) is int
+                lost += topo is line and not want.delivered_count
+        assert lost
         blocked = simulate_path(dead, [0, 1, 2, 3], TrafficSpec(100, seed=0))
         assert blocked.delivered_count == 0 and math.isnan(blocked.avg_delay)
-
-    def test_column_mask_matches_the_row_mask(self):
-        # Routes of 1 to 12 hops along a line whose links differ in every
-        # weight; at up to 30 % loss a hop, the longer routes deliver few
-        # packets, and one packet alone is often lost.
-        rng = np.random.default_rng(12)
-        line = make_topo(13, {(i, i + 1): {
-            "delay": float(rng.uniform(0.5, 2.0)),
-            "jitter": float(rng.uniform(0.5, 2.0)),
-            "loss_prob": float(rng.uniform(0.001, 0.3))} for i in range(12)},
-            gateways={12})
-        lost = 0
-        for hops in range(1, 13):
-            path = list(range(13 - hops - 1, 13))
-            for count in (1, 7, 5000):
-                traffic = TrafficSpec(count, seed=hops)
-                got = simulate_path(line, path, traffic)
-                want = reference_simulate_row_mask(line, path, traffic)
-                assert (got.pdr, got.delivered_count, got.packet_count) == (
-                    want.pdr, want.delivered_count, want.packet_count)
-                if want.delivered_count:
-                    assert got.avg_delay == want.avg_delay
-                else:
-                    assert math.isnan(got.avg_delay)
-                    lost += 1
-        assert lost
 
     def test_invalid_path_rejected(self):
         topo = make_topo(3, {(0, 1): {}}, gateways={1})

@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -230,24 +230,6 @@ def brute_force_worst_interference(links):
     return worst
 
 
-def reference_worst_interference(links):
-    """_worst_interference as it counted channels in a defaultdict of
-    Counters and took the smallest gap from a generator."""
-    in_use = defaultdict(Counter)
-    for u, v, channel in links:
-        in_use[u][channel] += 1
-        in_use[v][channel] += 1
-    factors = []
-    for u, v, channel in links:
-        if in_use[u][channel] > 1 or in_use[v][channel] > 1:
-            gap = 0
-        else:
-            gap = min((abs(c - channel) for x in (u, v) for c in in_use[x]
-                       if c != channel), default=None)
-        factors.append(0.0 if gap is None else interference_factor(gap))
-    return factors
-
-
 class TestInterferenceFactor:
     def test_cochannel_is_one(self):
         assert interference_factor(0) == 1.0
@@ -445,30 +427,6 @@ class TestGeneratorMatchesReference:
                 2, area=area, gateway_count=1, rng_seed=seed))
 
 
-class TestGeneratorDraws:
-    @pytest.mark.parametrize("pool_size", [1, 2, 3, 4])
-    def test_integers_index_is_choice(self, pool_size):
-        pool = list(range(5, 5 + pool_size))
-        a, b = np.random.default_rng(pool_size), np.random.default_rng(pool_size)
-        for _ in range(2000):
-            assert int(a.choice(pool)) == pool[int(b.integers(0, pool_size))]
-        assert a.bit_generator.state == b.bit_generator.state
-
-    @pytest.mark.parametrize("pool_size", [1, 2, 3, 4])
-    def test_scaled_random_is_uniform(self, pool_size):
-        # The per-link draw order: a channel, then four weights.
-        ranges = (COST_RANGE, DELAY_RANGE, JITTER_RANGE, LOSS_RANGE)
-        a, b = np.random.default_rng(pool_size), np.random.default_rng(pool_size)
-        for _ in range(2000):
-            a.choice(list(range(pool_size)))
-            b.integers(0, pool_size)
-            one_by_one = [float(a.uniform(lo, hi)) for lo, hi in ranges]
-            at_once = [lo + (hi - lo) * u
-                       for (lo, hi), u in zip(ranges, b.random(4).tolist())]
-            assert one_by_one == at_once
-        assert a.bit_generator.state == b.bit_generator.state
-
-
 def with_half_word(seed, half):
     """A PCG64 seeded ``seed`` whose next 32-bit draw is ``half``, taken
     from the unused half-word numpy keeps in its state."""
@@ -566,9 +524,8 @@ class TestWorstInterference:
             channels = rng.sample(range(1, NUM_CHANNELS + 1),
                                   rng.randint(1, 4))
             links = [(u, v, rng.choice(channels)) for u, v in pairs]
-            want = brute_force_worst_interference(links)
-            assert _worst_interference(links) == want
-            assert reference_worst_interference(links) == want
+            assert _worst_interference(links) == (
+                brute_force_worst_interference(links))
 
     def test_lone_links_and_duplicates(self):
         # 0-1 and 2-3 share no endpoint with any link; 4-5 and 5-6 share
@@ -597,7 +554,7 @@ class TestWorstInterference:
             "cochannel-both-ends", "isolated", "orthogonal", "least-gap"])
     def test_hand_built_cases(self, links, factors):
         assert _worst_interference(links) == factors
-        assert reference_worst_interference(links) == factors
+        assert brute_force_worst_interference(links) == factors
 
     @pytest.mark.parametrize("node_count", [25, 125, 200])
     def test_matches_reference_on_generated_meshes(self, node_count):
@@ -606,7 +563,7 @@ class TestWorstInterference:
                                                     rng_seed=seed))
             ends = [(l.u, l.v, l.channel) for l in topo.links]
             factors = _worst_interference(ends)
-            assert factors == reference_worst_interference(ends)
+            assert factors == brute_force_worst_interference(ends)
             assert factors == [l.i_factor for l in topo.links]
 
 
