@@ -13,9 +13,9 @@ over dense distance/predecessor lists that yields each node as it settles.
 Rows read whole run it to the end and are cached on the mesh as compact
 arrays per source tuple: one node, or all gateways together.  A detour query
 stops it at its target, as does a repair stitch: a solver run keeps one
-suspended search per stitch origin, and the mesh owns the stitch store,
-each origin's latest search filled in place (stitch).  The gateways' row
-ranks the mesh's candidate sources once, and the mesh keeps that ranking
+suspended search per stitch origin, which the mesh does not keep (stitch),
+so each run pays for the stitches it asks for.  The gateways' row ranks
+the mesh's candidate sources once, and the mesh keeps that ranking
 (ranked_sources) for every benchmark source pick.  numpy (used by the
 generator) is the only third-party dependency.
 
@@ -209,7 +209,9 @@ class MeshTopology:
     dense from 0, that every link joins two known nodes and appears once,
     that the gateway set is a non-empty set of nodes, and that the range is
     a finite positive number.  It does not check connectivity: see
-    gateway_costs().  The instance is then safe to share across threads.
+    gateway_costs().  The instance is then safe to share across threads:
+    it caches only what every run reads alike (cost rows, trap links, the
+    source ranking), and each run keeps its own stitch searches (stitch).
     """
 
     def __init__(self, nodes: list[Node], links: list[Link],
@@ -254,9 +256,6 @@ class MeshTopology:
         # gateways in ascending id order for theirs.
         self._trees: dict[tuple[int, ...], tuple[array, array]] = {}
         self._gateway_key = tuple(sorted(self.gateways))
-        # The latest stitch search from each origin (see stitch): its
-        # predecessors and which nodes have settled, filled in place.
-        self._stitched: dict[int, tuple[list[int], bytearray]] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -466,33 +465,25 @@ class MeshTopology:
 
     def stitch(self, u: int, v: int, searches: dict) -> list[int] | None:
         """shortest_path(u, v) of known nodes, for repair; ``searches`` is
-        the caller's per-run dict.  A search from ``u`` runs only until
-        ``v`` settles and waits in ``searches[u]`` for the run's later
-        stitches from ``u`` to resume it.  It publishes its predecessors and
-        settled flags on the mesh as it fills them; a settled node's chain
-        is final, so any run reads from the mesh a target the latest search
-        from ``u`` has settled.  A run resumes only its own search: the
-        mesh's may be another run's."""
-        kept = self._stitched.get(u)
-        if kept is not None and kept[1][v]:
-            pred = kept[0]
-        else:
-            search = searches.get(u)
-            if search is None:
-                n = len(self.nodes)
-                dist, pred = [UNREACHABLE] * n, [-1] * n
-                settled = bytearray(n)
-                self._stitched[u] = (pred, settled)
-                search = searches[u] = (
-                    pred, settled, self._search((u,), dist, pred))
-            pred, settled, steps = search
-            if not settled[v]:
-                for w in steps:
-                    settled[w] = 1
-                    if w == v:
-                        break
-                else:
-                    return None
+        the caller's per-run dict, and the only state a stitch touches.  A
+        search from ``u`` runs only until ``v`` settles and waits in
+        ``searches[u]`` for the run's later stitches from ``u`` to resume
+        it; a settled node's chain is final, so a target it has settled is
+        read as it stands."""
+        search = searches.get(u)
+        if search is None:
+            n = len(self.nodes)
+            dist, pred = [UNREACHABLE] * n, [-1] * n
+            search = searches[u] = (pred, bytearray(n),
+                                    self._search((u,), dist, pred))
+        pred, settled, steps = search
+        if not settled[v]:
+            for w in steps:
+                settled[w] = 1
+                if w == v:
+                    break
+            else:
+                return None
         path = _trace(pred, v)
         path.reverse()
         return path

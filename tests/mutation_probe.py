@@ -161,28 +161,12 @@ MUTANTS = [
      "settled[v] = 1"),
     ("an unreachable stitch target gives its origin alone",
      "src/meshroute/topology.py",
-     "                else:\n                    return None\n",
-     "                else:\n                    return [u]\n"),
-    ("a kept prefix is read for a target it has not settled",
-     "src/meshroute/topology.py",
-     "if kept is not None and kept[1][v]:",
-     "if kept is not None:"),
-    ("a stitch search is not published on the mesh",
-     "src/meshroute/topology.py",
-     "self._stitched[u] = (pred, settled)",
-     "pass"),
-    ("a run resumes the mesh's latest search instead of its own",
-     "src/meshroute/topology.py",
-     "pred, settled, steps = search",
-     "pred, settled, steps = *self._stitched[u], search[2]"),
+     "            else:\n                return None\n",
+     "            else:\n                return [u]\n"),
     ("a stitch starts its search afresh",
      "src/meshroute/topology.py",
      "search = searches.get(u)",
      "search = None"),
-    ("a stitch never reads the mesh's prefix",
-     "src/meshroute/topology.py",
-     "if kept is not None and kept[1][v]:",
-     "if False:"),
     ("the radio draw skips the shuffle's draw",
      "src/meshroute/topology.py",
      "        draws.below(2)\n",

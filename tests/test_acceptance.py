@@ -30,7 +30,6 @@ enters only as a cap, so a lower-F route need not deliver more or sooner.
 """
 
 import gc
-import itertools
 import json
 import math
 import random
@@ -122,31 +121,20 @@ def attainment_times_ms(results, best_known: float) -> dict:
 
 @pytest.fixture(scope="module")
 def sweep():
-    """SWEEP's instances by size.  For criterion 4's timing, each mesh's
-    stitch store is filled as it is generated: one stitch from every node
-    to every node completes each origin's search.  So no algorithm's clock
-    pays for stitch searches whose prefixes the algorithms after it on the
-    mesh would read; the source's cost row is read before a run's clock
-    starts, and the gateway tree comes with source selection.  Cyclic GC
-    is off while an instance is solved, as timeit does, so no collection
-    of the whole test process's heap is timed as part of a solve."""
-    def warmed(params):
-        topo = generate_topology(params)
-        searches = {}
-        for u, v in itertools.product(range(topo.node_count), repeat=2):
-            topo.stitch(u, v, searches)
-        return topo
-
+    """SWEEP's instances by size.  Runs share no stitch search, so each
+    algorithm's clock pays for the stitches it asks for; the gateway tree
+    comes with source selection, and the source's cost row and the trap
+    links are built before the first run's clock starts.  Cyclic GC is off
+    while an instance is solved, as timeit does, so no collection of the
+    whole test process's heap is timed as part of a solve."""
     instances = {size: [] for size in SWEEP.node_sizes}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("meshroute.cli.generate_topology", warmed)
-        for size, solved in instances.items():
-            for i in range(SWEEP.seeds_per_cell):
-                gc.disable()
-                try:
-                    solved.append(solve(size, i, SWEEP))
-                finally:
-                    gc.enable()
+    for size, solved in instances.items():
+        for i in range(SWEEP.seeds_per_cell):
+            gc.disable()
+            try:
+                solved.append(solve(size, i, SWEEP))
+            finally:
+                gc.enable()
     return instances
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -5,7 +6,7 @@ import random
 import sys
 import threading
 from collections import Counter
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ from meshroute.routing import (
     run,
     two_point_crossover,
 )
-from meshroute import routing
-from meshroute.cli import default_source
+from meshroute import cli, routing
+from meshroute.cli import ExperimentPlan, default_source
 
 from conftest import (brute_force_trap_links, island_mesh, make_topo,
                       merge_demo_topo, source_for, without_wall_times)
@@ -232,13 +233,13 @@ class TestRouteContext:
 class TestStitch:
     """topo.stitch(u, v, searches) is topo.shortest_path(u, v) in any order
     of queries, though each origin's search stops once its target settles
-    and resumes only for a target it has not settled, and a later run
-    reads what an earlier one left on the mesh."""
+    and resumes only for a target it has not settled; runs on one mesh
+    share no stitch search."""
 
     @staticmethod
     def assert_stitches_match(topo, queries):
         # Two searches dicts in turn, as two runs on one mesh: the second
-        # reads the prefixes the first left, and searches past them.
+        # searches from each origin afresh.
         half = len(queries) // 2
         for part in (queries[:half], queries[half:]):
             searches = {}
@@ -284,6 +285,9 @@ class TestStitch:
     @pytest.mark.parametrize("algorithm", routing.ALGORITHMS)
     def test_run_caches_only_the_source_row_and_the_gateway_tree(
             self, monkeypatch, algorithm):
+        # Besides those two rows, a run leaves on the mesh only the cached
+        # properties that source selection, the coefficients and the run's
+        # context read before its clock starts; its stitches stay with it.
         stitches = Counter()
         stitch = MeshTopology.stitch
 
@@ -293,29 +297,81 @@ class TestStitch:
 
         monkeypatch.setattr(MeshTopology, "stitch", counting)
         topo = generate_topology(TopologyParams(node_count=125, rng_seed=0))
+        before = dict(vars(topo))
         source = default_source(topo, 0.75)
         run(topo, source, REQ, PenaltyCoeffs.for_request(REQ, topo),
             HybridConfig(rng_seed=1, algorithm=algorithm))
         assert len(stitches) > 1
         assert set(topo._trees) == {(source,), topo._gateway_key}
-        assert set(topo._stitched) == set(stitches)
+        cached = {name for name, attr in vars(MeshTopology).items()
+                  if isinstance(attr, functools.cached_property)}
+        assert set(vars(topo)) == set(before) | cached
+        assert all(vars(topo)[name] is value for name, value in before.items())
 
-    def test_runs_on_a_mesh_with_kept_stitches_match_runs_on_a_fresh_one(
-            self):
+    def test_runs_on_a_shared_mesh_match_runs_on_a_fresh_one(
+            self, monkeypatch):
+        # Each run on the shared mesh returns what it returns on a fresh
+        # copy, and settles as many nodes in its searches there: no run
+        # reads search work that an earlier run on the mesh paid for.  Both
+        # meshes have the source row and the gateway tree built first.
+        settles = Counter()
+        search = MeshTopology._search
+
+        def counting(mesh, *args):
+            for node in search(mesh, *args):
+                settles[mesh] += 1
+                yield node
+
+        monkeypatch.setattr(MeshTopology, "_search", counting)
         params = TopologyParams(node_count=125, rng_seed=0)
         shared = generate_topology(params)
         source = default_source(shared, 0.75)
+        shared.shortest_path_costs(source)
         coeffs = PenaltyCoeffs.for_request(REQ, shared)
-        kept = []
         for seed in (1, 2):
             for algorithm in routing.ALGORITHMS:
-                kept.append(len(shared._stitched))
+                fresh = generate_topology(params)
+                fresh.gateway_costs()
+                fresh.shortest_path_costs(source)
+                settles.clear()
                 config = HybridConfig(rng_seed=seed, algorithm=algorithm)
                 runs = [without_wall_times(run(topo, source, REQ, coeffs,
                                                config).to_dict())
-                        for topo in (shared, generate_topology(params))]
+                        for topo in (shared, fresh)]
                 assert runs[0] == runs[1]
-        assert kept[0] == 0 and kept[-1] > 0
+                assert settles[shared] == settles[fresh] > 0
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_plan_order_moves_no_algorithms_search_work(
+            self, monkeypatch, index):
+        # Each algorithm of a 125-node bench cell settles as many nodes in
+        # its searches when the plan lists it last as when it lists it
+        # first.  The source row is built before each run, as its clock
+        # starts only after it.
+        settles, current = Counter(), []
+        search, solve = MeshTopology._search, cli.run
+
+        def counting(mesh, *args):
+            for node in search(mesh, *args):
+                settles[current[0]] += 1
+                yield node
+
+        def timed_run(topo, source, req, coeffs, config):
+            topo.shortest_path_costs(source)
+            current[:] = [config.algorithm]
+            return solve(topo, source, req, coeffs, config)
+
+        monkeypatch.setattr(MeshTopology, "_search", counting)
+        monkeypatch.setattr(cli, "run", timed_run)
+        plan = ExperimentPlan(node_sizes=[125], packet_count=100)
+        work = []
+        for algorithms in (plan.algorithms, plan.algorithms[::-1]):
+            settles.clear()
+            current[:] = [None]
+            cli.run_cell(125, index, replace(plan, algorithms=algorithms))
+            settles.pop(None, None)
+            work.append(dict(settles))
+        assert work[0] == work[1] and sum(work[0].values()) > 0
 
     @staticmethod
     def mesh_and_order(node_count, mesh_seed, u=0):
@@ -331,9 +387,9 @@ class TestStitch:
     def test_interleaved_runs_on_a_shared_mesh_resume_their_own_searches(
             self, node_count, mesh_seed):
         # Run A settles a near target from u; run B searches from u to a
-        # farther one, which replaces the mesh's entry for u; A then asks
-        # for a target past B's prefix, which it must search with its own
-        # search: B's predecessors past that prefix are not final.
+        # farther one; A then asks for a target past both, which it reaches
+        # by resuming its own search: B's stitches leave A's search where it
+        # stopped and see nothing A settled.
         u = 0
         topo, order = self.mesh_and_order(node_count, mesh_seed, u)
         near, far, past = (order[node_count // 25], order[node_count // 3],
@@ -345,21 +401,22 @@ class TestStitch:
                 topo, u, v, frozenset())
 
         check(run_a, near)
+        settled_a = bytes(run_a[u][1])
         check(run_b, far)
-        pred, settled = topo._stitched[u]
-        assert pred is run_b[u][0] and not settled[past]
+        assert bytes(run_a[u][1]) == settled_a and not settled_a[far]
+        assert run_b[u][0] is not run_a[u][0]
         check(run_a, past)
         check(run_b, near)
         check(run_b, past)
         check(run_a, far)
+        assert run_a.keys() == run_b.keys() == {u}
 
     @pytest.mark.parametrize("node_count", [25, 125])
     def test_runs_in_threads_on_a_shared_mesh_match_shortest_path(
             self, node_count):
         # Four runs in threads, each with its own searches dict, stitch from
-        # the same few origins of one mesh, so each publishes prefixes the
-        # others read while the interpreter switches threads every few
-        # bytecodes.
+        # the same few origins of one mesh while the interpreter switches
+        # threads every few bytecodes: no run sees another's search.
         params = TopologyParams(node_count=node_count, rng_seed=4)
         shared, fresh = generate_topology(params), generate_topology(params)
         rng = random.Random(node_count)
@@ -386,29 +443,6 @@ class TestStitch:
         for queries, paths in zip(runs, got):
             assert paths == [fresh.shortest_path(u, v) for u, v in queries]
 
-    def test_a_target_the_mesh_has_settled_is_read_without_a_search(self):
-        u = 0
-        topo, order = self.mesh_and_order(125, 0, u)
-        topo.stitch(u, order[60], {})
-        later = {}
-        for v in order[:61]:
-            assert topo.stitch(u, v, later) == reference_detour(
-                topo, u, v, frozenset())
-        assert later == {}
-
-    def test_a_search_is_published_on_the_mesh_as_it_runs(self):
-        # No step at the end of a run: the mesh holds the search's own
-        # lists from its start, and sees each node the run settles.
-        u = 0
-        topo, order = self.mesh_and_order(125, 0, u)
-        searches = {}
-        topo.stitch(u, order[10], searches)
-        pred, settled, _ = searches[u]
-        kept = topo._stitched[u]
-        assert kept[0] is pred and kept[1] is settled and sum(settled) == 11
-        topo.stitch(u, order[50], searches)
-        assert topo._stitched[u] is kept and sum(settled) == 51
-
     def test_a_run_resumes_one_search_per_origin(self, monkeypatch):
         # Farther targets resume the run's search from u; none starts anew.
         u = 0
@@ -427,26 +461,53 @@ class TestStitch:
                 topo, u, order[k], frozenset())
         assert started == {(u,): 1} and all(searches[u][1])
 
-    def test_the_mesh_keeps_the_largest_prefix_runs_left(self):
-        # Runs one after another: a run searches from u only past the
-        # prefix the mesh holds, so each origin's prefix on the mesh only
-        # grows, and every target a run asked for stays settled.
-        topo = generate_topology(TopologyParams(node_count=60, rng_seed=5))
+    def test_a_target_an_earlier_run_settled_is_searched_afresh(self):
+        u = 0
+        topo, order = self.mesh_and_order(125, 0, u)
+        topo.stitch(u, order[60], {})
+        later = {}
+        for v in order[:61]:
+            assert topo.stitch(u, v, later) == reference_detour(
+                topo, u, v, frozenset())
+        assert sum(later[u][1]) == 61
+
+    def test_a_search_stays_with_its_run(self):
+        # The run's dict holds the search's own lists, which see each node
+        # the run settles; the mesh keeps the attributes it had, each the
+        # same object.
+        u = 0
+        topo, order = self.mesh_and_order(125, 0, u)
+        before = dict(vars(topo))
+        searches = {}
+        topo.stitch(u, order[10], searches)
+        pred, settled, _ = searches[u]
+        assert sum(settled) == 11
+        topo.stitch(u, order[50], searches)
+        assert searches[u][0] is pred and sum(settled) == 51
+        assert vars(topo).keys() == before.keys()
+        assert all(vars(topo)[name] is value for name, value in before.items())
+
+    def test_runs_one_after_another_each_search_as_on_a_fresh_mesh(self):
+        # Runs one after another on one mesh: each settles from each origin
+        # the nodes the same stitches settle on a fresh copy of the mesh,
+        # whatever earlier runs searched.
+        params = TopologyParams(node_count=60, rng_seed=5)
+        shared = generate_topology(params)
         rng = random.Random(5)
-        origins = rng.sample(range(topo.node_count), 3)
-        asked = {u: set() for u in origins}
-        before = {}
+        origins = rng.sample(range(shared.node_count), 3)
         for _ in range(8):
-            searches = {}
-            for _ in range(rng.randrange(1, 15)):
-                u, v = rng.choice(origins), rng.randrange(topo.node_count)
-                assert topo.stitch(u, v, searches) == topo.shortest_path(u, v)
-                asked[u].add(v)
-            now = {u: {w for w, flag in enumerate(settled) if flag}
-                   for u, (_, settled) in topo._stitched.items()}
-            assert all(kept <= now[u] for u, kept in before.items())
-            assert all(vs <= now.get(u, set()) for u, vs in asked.items())
-            before = now
+            queries = [(rng.choice(origins), rng.randrange(shared.node_count))
+                       for _ in range(rng.randrange(1, 15))]
+            fresh = generate_topology(params)
+            settled = []
+            for topo in (shared, fresh):
+                searches = {}
+                for u, v in queries:
+                    assert topo.stitch(u, v, searches) == fresh.shortest_path(
+                        u, v)
+                settled.append({u: bytes(search[1])
+                                for u, search in searches.items()})
+            assert settled[0] == settled[1]
 
 
 class TestAlter:
