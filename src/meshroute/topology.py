@@ -11,7 +11,7 @@ The graph is held in plain per-node tuples and neighbour-to-link dicts built
 once at construction.  Shortest paths come from one resumable heapq Dijkstra
 over dense distance/predecessor lists that yields each node as it settles.
 Rows read whole run it to the end and are cached on the mesh as compact
-arrays per source tuple: one node, or all gateways together.  A detour query
+arrays per source tuple: one node, or all gateways together.  A path query
 stops it at its target, as does a repair stitch: a solver run keeps one
 suspended search per stitch origin, which the mesh does not keep (stitch),
 so each run pays for the stitches it asks for.  The gateways' row ranks
@@ -19,14 +19,14 @@ the mesh's candidate sources once, and the mesh keeps that ranking
 (ranked_sources) for every benchmark source pick.  numpy (used by the
 generator) is the only third-party dependency.
 
-The generator places nodes with numpy's uniform draws and then decodes each
-node's radios and each link's channel and weights from blocks of raw PCG64
-words, replaying numpy's rules for turning words into draws (_Pcg64Draws),
-so every mesh and the RNG state it leaves are those of one Generator call
-per drawn value.  Each link's interference comes from its smallest channel
-gap to a link sharing an endpoint, from per-node channel counts in plain
-dicts.  The gateway k-means stops at its fixed point: the first of its at
-most 12 Lloyd iterations that leaves the centres bitwise unchanged.
+The generator places nodes with numpy's uniform draws, draws every node's
+radios in one integers() call, and decodes each link's channel and weights
+from one block of raw PCG64 words by numpy's rules for turning words into
+draws, so every mesh and the RNG state it leaves are those of one Generator
+call per drawn value.  Each link's interference comes from its smallest
+channel gap to a link sharing an endpoint, from per-node channel counts in
+plain dicts.  The gateway k-means stops at its fixed point: the first of
+its at most 12 Lloyd iterations that leaves the centres bitwise unchanged.
 """
 
 from __future__ import annotations
@@ -441,23 +441,17 @@ class MeshTopology:
     def shortest_path(self, source: int, target: int,
                       avoid: AbstractSet[int] = frozenset(),
                       ) -> list[int] | None:
-        """A least-cost path, or None when none exists.
-
-        The path enters no node in ``avoid``; such a query is computed
-        afresh rather than from the per-source cache, and stops once it
-        settles ``target``.
-        """
+        """A least-cost path that enters no node in ``avoid``, or None when
+        none exists.  Each query runs its own search, which stops once it
+        settles ``target``; the mesh caches nothing for it."""
         if not (self.has_node(source) and self.has_node(target)):
             raise TopologyError("unknown node id")
-        if avoid:
-            n = len(self.nodes)
-            dist, pred = [UNREACHABLE] * n, [-1] * n
-            for u in self._search((source,), dist, pred, avoid):
-                if u == target:
-                    break
+        n = len(self.nodes)
+        dist, pred = [UNREACHABLE] * n, [-1] * n
+        for u in self._search((source,), dist, pred, avoid):
+            if u == target:
+                break
         else:
-            dist, pred = self._tree((source,))
-        if dist[target] == UNREACHABLE:
             return None
         path = _trace(pred, target)
         path.reverse()
@@ -611,70 +605,6 @@ def _worst_interference(links: Sequence[tuple[int, int, int]],
     return factors
 
 
-class _Pcg64Draws:
-    """numpy Generator draws on a PCG64, decoded from its raw 64-bit words
-    by numpy's fixed rules (NEP 19 keeps the raw stream stable):
-    - a 32-bit draw is the low half of a fresh word, and leaves the high
-      half for the next one (the state's ``has_uint32`` and ``uinteger``);
-    - ``integers(0, k)`` is Lemire's method on 32-bit draws (ACM TOMACS
-      2019), rejections included; a range of one value draws nothing;
-    - ``random()`` of a word ``w`` is ``(w >> 11) * 2**-53``.
-    Words come in blocks from ``random_raw``, no more than the draws use,
-    so ``close()`` leaves the bit generator as the Generator calls would.
-    """
-
-    def __init__(self, bits: np.random.PCG64):
-        self.bits = bits
-        state = bits.state
-        self.buffered, self.half = state["has_uint32"], state["uinteger"]
-        self.block = np.empty(0, dtype=np.uint64)
-        self.words: list[int] = []   # the block as Python ints
-        self.at = 0                  # the next unused word
-
-    def fetch(self, uint32s: int = 0, words: int = 0) -> None:
-        """Fetch, once every word fetched so far is used, the words that
-        ``uint32s`` 32-bit draws (unless one is rejected) and ``words``
-        whole-word draws use between them."""
-        new = self.bits.random_raw(words + (uint32s - self.buffered + 1) // 2)
-        self.block = np.concatenate((self.block, new))
-        self.words += new.tolist()
-
-    def below(self, k: int) -> int:
-        """``Generator.integers(0, k)`` for 0 < k < 2**32."""
-        if k == 1:
-            return 0
-        while True:
-            if self.buffered:
-                self.buffered, x = 0, self.half
-            else:
-                if self.at == len(self.words):  # past a rejection
-                    self.fetch(uint32s=1)
-                word = self.words[self.at]
-                self.at += 1
-                self.buffered, self.half, x = 1, word >> 32, word & 0xFFFFFFFF
-            m = x * k
-            if m & 0xFFFFFFFF >= (1 << 32) % k:
-                return m >> 32
-
-    def skip(self, count: int) -> int:
-        """Set aside the next ``count`` words; the index of the first."""
-        start = self.at
-        self.at += count
-        if self.at > len(self.words):
-            self.fetch(words=self.at - len(self.words))
-        return start
-
-    def doubles(self, index: np.ndarray) -> np.ndarray:
-        """``random()`` of the words set aside at ``index``."""
-        return (self.block[index] >> 11) * 2.0 ** -53
-
-    def close(self) -> None:
-        """Hand the unused half-word back to the bit generator."""
-        state = self.bits.state
-        state["has_uint32"], state["uinteger"] = self.buffered, self.half
-        self.bits.state = state
-
-
 def _pick_gateways(positions: np.ndarray, count: int,
                    rng: np.random.Generator) -> list[int]:
     # Spread gateways over the deployment via a short k-means on node
@@ -713,7 +643,8 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
     synthetic, exempt from the range constraint).  Per-link interference is
     the worst channel overlap against any link sharing an endpoint.
     """
-    # default_rng(seed) builds exactly this; _Pcg64Draws decodes PCG64.
+    # default_rng(seed) builds exactly this; the link draws below decode
+    # PCG64's raw words.
     rng = np.random.Generator(np.random.PCG64(params.rng_seed))
     width, height = params.resolved_area()
     n = params.node_count
@@ -725,17 +656,13 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
     # method takes a draw in [0, NUM_CHANNELS - 2], then one in
     # [0, NUM_CHANNELS - 1] that becomes NUM_CHANNELS - 1 on a collision,
     # and the shuffle after it one in [0, 1].  Sorted, the shuffle leaves
-    # nothing but its draw.
-    draws = _Pcg64Draws(rng.bit_generator)
-    draws.fetch(uint32s=3 * n)
-    radios = []
-    for _ in range(n):
-        a = draws.below(NUM_CHANNELS - 1)
-        b = draws.below(NUM_CHANNELS)
-        if b == a:
-            b = NUM_CHANNELS - 1
-        draws.below(2)
-        radios.append((a + 1, b + 1) if a < b else (b + 1, a + 1))
+    # nothing but its draw.  integers() with one bound per draw makes the
+    # same draws in the same order.
+    a, b, _ = rng.integers(
+        0, np.tile([NUM_CHANNELS - 1, NUM_CHANNELS, 2], n)).reshape(n, 3).T
+    b = np.where(b == a, NUM_CHANNELS - 1, b)
+    radios = list(zip((np.minimum(a, b) + 1).tolist(),
+                      (np.maximum(a, b) + 1).tolist()))
     nodes = [Node(i, float(xs[i]), float(ys[i]), radios[i]) for i in range(n)]
 
     # Every pair within range, in row-major (u, v) order, the order the
@@ -784,21 +711,43 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
 
     # Link by link, as Generator.choice(pool) and four uniform() calls draw
     # them: the channel is a draw in [0, len(pool)) from the channels both
-    # ends share, or else from all of theirs (a pool of one draws nothing),
-    # and the four weights are one double each.
+    # ends share, or else from all of theirs, and the four weights are one
+    # double each.  Decoded from one block of raw PCG64 words by numpy's
+    # rules (NEP 19 keeps the raw stream stable): a 32-bit draw is the
+    # half-word the state holds, or else the low half of a fresh word, whose
+    # high half is kept; integers(0, k) of a 32-bit x is Lemire's x * k >> 32
+    # (a range of one draws nothing); random() of a word w is
+    # (w >> 11) * 2**-53.  Two radios per node give pools of 1, 2 or 4, and
+    # Lemire's method never rejects a range that divides 2**32.
     pools = [[c for c in radios[u] if c in radios[v]]
              or sorted(radios[u] + radios[v]) for u, v in pairs]
-    draws.fetch(uint32s=sum(len(pool) > 1 for pool in pools),
-                words=4 * len(pairs))
-    channels, starts = [], []
+    bits = rng.bit_generator
+    state = bits.state
+    buffered, half = state["has_uint32"], state["uinteger"]
+    halves = sum(len(pool) > 1 for pool in pools)
+    raw = bits.random_raw(4 * len(pairs) + (halves - buffered + 1) // 2)
+    words = raw.tolist()
+    channels, starts, at = [], [], 0
     for pool in pools:
-        channels.append(pool[draws.below(len(pool))])
-        starts.append(draws.skip(4))
-    draws.close()
+        k, x = len(pool), 0
+        if k > 1:
+            if buffered:
+                buffered, x = 0, half
+            else:
+                buffered, half, x = 1, words[at] >> 32, words[at] & 0xFFFFFFFF
+                at += 1
+        channels.append(pool[x * k >> 32])
+        starts.append(at)
+        at += 4
+    # Hand the unused half-word back to the state the fetch left, so
+    # _pick_gateways starts where one Generator call per draw would leave it.
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = buffered, half
+    bits.state = state
     ranges = np.array([COST_RANGE, DELAY_RANGE, JITTER_RANGE, LOSS_RANGE])
     lo, span = ranges[:, 0], ranges[:, 1] - ranges[:, 0]
-    weights = lo + span * draws.doubles(
-        np.array(starts, dtype=np.intp)[:, None] + np.arange(4))
+    weights = lo + span * ((raw[np.array(starts)[:, None] + np.arange(4)]
+                            >> 11) * 2.0 ** -53)
 
     ends = [(u, v, channel) for (u, v), channel in zip(pairs, channels)]
     links = [Link(u, v, channel, cost, BANDWIDTH, delay, jitter, loss,

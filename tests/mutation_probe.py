@@ -169,23 +169,27 @@ MUTANTS = [
      "search = None"),
     ("the radio draw skips the shuffle's draw",
      "src/meshroute/topology.py",
-     "        draws.below(2)\n",
-     ""),
+     "np.tile([NUM_CHANNELS - 1, NUM_CHANNELS, 2], n)",
+     "np.tile([NUM_CHANNELS - 1, NUM_CHANNELS, 1], n)"),
     ("the half-word is dropped between the radio and link draws",
      "src/meshroute/topology.py",
-     "    draws.fetch(uint32s=sum(",
-     "    draws.buffered = 0\n    draws.fetch(uint32s=sum("),
-    ("a Lemire rejection is accepted",
-     "src/meshroute/topology.py",
-     "if m & 0xFFFFFFFF >= (1 << 32) % k:",
-     "if True:"),
+     'buffered, half = state["has_uint32"], state["uinteger"]',
+     'buffered, half = 0, state["uinteger"]'),
     ("a fetch takes one word more than its draws use",
      "src/meshroute/topology.py",
-     "(uint32s - self.buffered + 1) // 2",
-     "(uint32s - self.buffered + 2) // 2"),
+     "(halves - buffered + 1) // 2",
+     "(halves - buffered + 3) // 2"),
     ("a pool of one makes a bounded draw",
      "src/meshroute/topology.py",
-     "        if k == 1:\n            return 0\n",
+     "        if k > 1:\n",
+     "        if k >= 1:\n"),
+    ("a link channel takes the low bits of its draw",
+     "src/meshroute/topology.py",
+     "pool[x * k >> 32]",
+     "pool[x % k]"),
+    ("the unused half-word is not handed back",
+     "src/meshroute/topology.py",
+     "    bits.state = state\n",
      ""),
     ("default_source ranks equal costs by descending id",
      "src/meshroute/topology.py",
@@ -212,12 +216,20 @@ MUTANTS = [
 # - "the search drops its stale-entry test" (``if d > dist[u]: continue``):
 #   a stale entry's distance exceeds its node's, so relaxing from it
 #   improves nothing, and its second yield comes after the node settled,
-#   which no stitch or detour query waits for.
-# - "two radios order as a <= b" (``if a < b`` in generate_topology):
-#   Floyd's second draw never equals the first, so both orders agree.
+#   which no stitch or path query waits for.
+# - "the lower radio is ``np.where(a <= b, a, b)``" (for ``np.minimum(a, b)``
+#   in generate_topology, and likewise for ``np.maximum``): Floyd's second
+#   draw never equals the first, so a and b never tie and every order rule
+#   agrees.
 # - "k-means runs all 12 iterations" (_pick_gateways without its fixed-point
 #   break): an iteration that leaves the centres bitwise unchanged gives
 #   the same centres again, so the gateways agree; it only costs time.
+
+# Moot edits, not run, because the code they mutated is gone:
+# - "a Lemire rejection is accepted": the generator makes its radio draws
+#   with numpy's own integers(), and its link draws in pools of 2 or 4
+#   channels, ranges that divide 2**32, where Lemire's method never
+#   rejects; so it keeps no rejection test to mutate.
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".hypothesis", "*.egg-info")

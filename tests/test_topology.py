@@ -26,7 +26,6 @@ from meshroute.topology import (
     TopologyParams,
     UNREACHABLE,
     _SLACK,
-    _Pcg64Draws,
     _distances,
     _pick_gateways,
     _worst_interference,
@@ -360,9 +359,13 @@ class TestGeneration:
 
 
 class TestGeneratorMatchesReference:
-    """generate_topology draws its weights in fewer Generator calls, builds
-    each Link once, takes interference from the smallest channel gap and
-    stitches on the pair scan's distances; every mesh stays the same."""
+    """generate_topology draws every node's radios in one Generator call,
+    decodes the link draws from one block of raw PCG64 words, builds each
+    Link once, takes interference from the smallest channel gap and
+    stitches on the pair scan's distances; every mesh, and the RNG state it
+    leaves, stays the same."""
+
+    DEFAULT_SIZES = [2, 3, 10, 25, 125, 200, 500]
 
     @staticmethod
     def assert_same_mesh(params):
@@ -381,12 +384,35 @@ class TestGeneratorMatchesReference:
                         f"character {at}: {got[at - 60:at + 60]!r} != "
                         f"{want[at - 60:at + 60]!r}")
 
-    @pytest.mark.parametrize("node_count", [2, 3, 10, 25, 125, 200, 500])
+    @staticmethod
+    def default_params(node_count, seed):
+        return TopologyParams(node_count, gateway_count=min(3, node_count - 1),
+                              rng_seed=seed)
+
+    @pytest.mark.parametrize("node_count", DEFAULT_SIZES)
     def test_default_params(self, node_count):
         for seed in range(3):
-            self.assert_same_mesh(TopologyParams(
-                node_count, gateway_count=min(3, node_count - 1),
-                rng_seed=seed))
+            self.assert_same_mesh(self.default_params(node_count, seed))
+
+    def test_default_params_start_the_link_draws_on_both_states(self):
+        # The link draws start with or without an unused half-word in the
+        # state, as the radio draws left it, and a pool of one channel must
+        # draw nothing from either; the cases above hold both states, each
+        # on a mesh with such a pool.
+        starts = set()
+        for node_count, seed in itertools.product(self.DEFAULT_SIZES,
+                                                  range(3)):
+            params = self.default_params(node_count, seed)
+            rng = np.random.default_rng(seed)
+            rng.uniform(size=2 * node_count)
+            for _ in range(node_count):
+                rng.choice(NUM_CHANNELS, size=RADIOS_PER_NODE, replace=False)
+            topo = generate_topology(params)
+            radios = [set(node.radios) for node in topo.nodes]
+            pool_of_one = any(len(radios[l.u] & radios[l.v]) == 1
+                              for l in topo.links)
+            starts.add((rng.bit_generator.state["has_uint32"], pool_of_one))
+        assert {(0, True), (1, True)} <= starts
 
     def test_sparse_area_stitches_many_rounds(self):
         for seed in range(3):
@@ -425,92 +451,6 @@ class TestGeneratorMatchesReference:
         for seed in range(5):
             self.assert_same_mesh(TopologyParams(
                 2, area=area, gateway_count=1, rng_seed=seed))
-
-
-def with_half_word(seed, half):
-    """A PCG64 seeded ``seed`` whose next 32-bit draw is ``half``, taken
-    from the unused half-word numpy keeps in its state."""
-    bits = np.random.PCG64(seed)
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = 1, half
-    bits.state = state
-    return bits
-
-
-class TestPcg64Draws:
-    """_Pcg64Draws replays numpy's Generator draws from raw words: same
-    values, same state left behind."""
-
-    @pytest.mark.parametrize("k", [11, 10, 3])
-    def test_rejected_draw_is_drawn_again(self, k):
-        # A 32-bit draw x gives x * k // 2**32 unless x * k mod 2**32 is
-        # below 2**32 mod k; x = 0 is below it for these ranges, so Lemire's
-        # method rejects it and draws again, from a fresh word.
-        assert (1 << 32) % k > 0
-        bits, twin = with_half_word(k, 0), with_half_word(k, 0)
-        draws = _Pcg64Draws(bits)
-        got = draws.below(k)
-        draws.close()
-        assert got == int(np.random.Generator(twin).integers(0, k))
-        assert bits.state == twin.state
-        assert bits.state["state"] != with_half_word(k, 0).state["state"]
-
-    @pytest.mark.parametrize("k", [11, 10, 3])
-    def test_value_above_the_threshold_is_kept(self, k):
-        # x * k mod 2**32 is 2**32 mod k exactly, the least value kept.
-        # 2**32 mod k is a multiple of g = gcd(k, 2**32), so x solves
-        # x * (k / g) = (2**32 mod k) / g modulo 2**32 / g.
-        g = math.gcd(k, 1 << 32)
-        x = ((1 << 32) % k // g * pow(k // g, -1, (1 << 32) // g)
-             % ((1 << 32) // g))
-        assert x * k % (1 << 32) == (1 << 32) % k
-        bits, twin = with_half_word(k, x), with_half_word(k, x)
-        draws = _Pcg64Draws(bits)
-        got = draws.below(k)
-        draws.close()
-        assert got == int(np.random.Generator(twin).integers(0, k))
-        assert bits.state == twin.state == with_half_word(k, x).state | {
-            "has_uint32": 0}
-
-    @pytest.mark.parametrize("buffered", [0, 1])
-    def test_a_range_of_one_draws_nothing(self, buffered):
-        # A link whose ends share one channel has a pool of one.
-        bits = with_half_word(5, 7) if buffered else np.random.PCG64(5)
-        before = bits.state
-        draws = _Pcg64Draws(bits)
-        assert draws.below(1) == 0
-        draws.close()
-        assert bits.state == before
-        assert np.random.Generator(bits).integers(0, 1) == 0
-        assert bits.state == before
-
-    @pytest.mark.parametrize("seed, buffered",
-                             itertools.product(range(4), [0, 1]))
-    def test_mixed_draws_match_the_generator(self, seed, buffered):
-        # 3 << 30 rejects about a quarter of its draws, so draws run past
-        # the fetched block and fetch their words one at a time.
-        kinds = random.Random(seed).choices(
-            [1, 2, 3, 4, 10, 11, 3 << 30, "double"], k=600)
-        make = ((lambda: with_half_word(seed, 12345)) if buffered
-                else (lambda: np.random.PCG64(seed)))
-        bits, twin = make(), make()
-        draws = _Pcg64Draws(bits)
-        draws.fetch(uint32s=sum(k != "double" and k > 1 for k in kinds),
-                    words=kinds.count("double"))
-        got_ints, at = [], []
-        for k in kinds:
-            if k == "double":
-                at.append(draws.skip(1))
-            else:
-                got_ints.append(draws.below(k))
-        draws.close()
-        generator = np.random.Generator(twin)
-        want = [generator.random() if k == "double"
-                else int(generator.integers(0, k)) for k in kinds]
-        assert got_ints == [w for k, w in zip(kinds, want) if k != "double"]
-        assert draws.doubles(np.array(at)).tolist() == [
-            w for k, w in zip(kinds, want) if k == "double"]
-        assert bits.state == twin.state
 
 
 class TestWorstInterference:
@@ -648,7 +588,7 @@ class TestShortestPath:
         assert topo.shortest_path(0, 3, avoid={1}) == [0, 2, 3]
         assert topo.shortest_path(0, 3, avoid={1, 2}) is None
         assert topo.shortest_path(0, 3, avoid={3}) is None
-        # Detour queries bypass the per-source cache.
+        # Each query runs its own search: no detour outlives its query.
         assert topo.shortest_path(0, 3) == [0, 1, 3]
 
     @pytest.mark.parametrize("node_count", [25, 125])
@@ -666,9 +606,12 @@ class TestShortestPath:
                 avoid = set(rng.sample(range(n), rng.randint(1, n // 2)))
                 if rng.random() < 0.2:
                     avoid.add(target)
-                path = topo.shortest_path(source, target, avoid)
-                assert path == reference_detour(topo, source, target, avoid)
-                found[path is None] += 1
+                # The empty set makes it a plain query.
+                for avoid in (avoid, set()):
+                    path = topo.shortest_path(source, target, avoid)
+                    assert path == reference_detour(topo, source, target,
+                                                    avoid)
+                    found[path is None] += 1
         assert found[True] and found[False]
 
     def test_detour_query_matches_full_dijkstra_on_ties_and_islands(self):
@@ -677,7 +620,7 @@ class TestShortestPath:
         for topo in (tie_mesh(), island_mesh()):
             n = topo.node_count
             for source, target in itertools.product(range(n), repeat=2):
-                for size in (1, 2):
+                for size in (0, 1, 2):  # size 0: a plain query
                     for avoid in map(set, itertools.combinations(range(n),
                                                                  size)):
                         assert (topo.shortest_path(source, target, avoid)
