@@ -633,6 +633,44 @@ def _pick_gateways(positions: np.ndarray, count: int,
     return sorted(chosen)
 
 
+def _draw_links(bits: np.random.PCG64,
+                pools: Sequence[Sequence[int]]) -> tuple[list[int], np.ndarray]:
+    """Each link's channel and four weights in [0, 1), drawn and with
+    ``bits`` left as Generator.choice(pool) and four random() calls per link.
+
+    Decoded from one block of raw PCG64 words by numpy's rules (NEP 19 keeps
+    the raw stream stable): a 32-bit draw is the half-word the state holds,
+    or else the low half of a fresh word, whose high half is kept;
+    integers(0, k) of a 32-bit x is Lemire's x * k >> 32 (a range of one
+    draws nothing); random() of a word w is (w >> 11) * 2**-53.  Two radios
+    per node give pools of 1, 2 or 4, and Lemire's method never rejects a
+    range that divides 2**32.
+    """
+    state = bits.state
+    buffered, half = state["has_uint32"], state["uinteger"]
+    halves = sum(len(pool) > 1 for pool in pools)
+    raw = bits.random_raw(4 * len(pools) + (halves - buffered + 1) // 2)
+    words = raw.tolist()
+    channels, starts, at = [], [], 0
+    for pool in pools:
+        k, x = len(pool), 0
+        if k > 1:
+            if buffered:
+                buffered, x = 0, half
+            else:
+                buffered, half, x = 1, words[at] >> 32, words[at] & 0xFFFFFFFF
+                at += 1
+        channels.append(pool[x * k >> 32])
+        starts.append(at)
+        at += 4
+    # Hand the unused half-word back, as one Generator call per draw would.
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = buffered, half
+    bits.state = state
+    return channels, (raw[np.array(starts)[:, None] + np.arange(4)]
+                      >> 11) * 2.0 ** -53
+
+
 def generate_topology(params: TopologyParams) -> MeshTopology:
     """Random-geometric mesh matching ``params``; pure function of the seed.
 
@@ -709,45 +747,13 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
         in_base |= component == component[v]
         pairs.append((min(u, v), max(u, v)))
 
-    # Link by link, as Generator.choice(pool) and four uniform() calls draw
-    # them: the channel is a draw in [0, len(pool)) from the channels both
-    # ends share, or else from all of theirs, and the four weights are one
-    # double each.  Decoded from one block of raw PCG64 words by numpy's
-    # rules (NEP 19 keeps the raw stream stable): a 32-bit draw is the
-    # half-word the state holds, or else the low half of a fresh word, whose
-    # high half is kept; integers(0, k) of a 32-bit x is Lemire's x * k >> 32
-    # (a range of one draws nothing); random() of a word w is
-    # (w >> 11) * 2**-53.  Two radios per node give pools of 1, 2 or 4, and
-    # Lemire's method never rejects a range that divides 2**32.
+    # Each link draws its channel from those both ends share, else all theirs.
     pools = [[c for c in radios[u] if c in radios[v]]
              or sorted(radios[u] + radios[v]) for u, v in pairs]
-    bits = rng.bit_generator
-    state = bits.state
-    buffered, half = state["has_uint32"], state["uinteger"]
-    halves = sum(len(pool) > 1 for pool in pools)
-    raw = bits.random_raw(4 * len(pairs) + (halves - buffered + 1) // 2)
-    words = raw.tolist()
-    channels, starts, at = [], [], 0
-    for pool in pools:
-        k, x = len(pool), 0
-        if k > 1:
-            if buffered:
-                buffered, x = 0, half
-            else:
-                buffered, half, x = 1, words[at] >> 32, words[at] & 0xFFFFFFFF
-                at += 1
-        channels.append(pool[x * k >> 32])
-        starts.append(at)
-        at += 4
-    # Hand the unused half-word back to the state the fetch left, so
-    # _pick_gateways starts where one Generator call per draw would leave it.
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = buffered, half
-    bits.state = state
+    channels, unit = _draw_links(rng.bit_generator, pools)
     ranges = np.array([COST_RANGE, DELAY_RANGE, JITTER_RANGE, LOSS_RANGE])
     lo, span = ranges[:, 0], ranges[:, 1] - ranges[:, 0]
-    weights = lo + span * ((raw[np.array(starts)[:, None] + np.arange(4)]
-                            >> 11) * 2.0 ** -53)
+    weights = lo + span * unit
 
     ends = [(u, v, channel) for (u, v), channel in zip(pairs, channels)]
     links = [Link(u, v, channel, cost, BANDWIDTH, delay, jitter, loss,

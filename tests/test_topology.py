@@ -27,6 +27,7 @@ from meshroute.topology import (
     UNREACHABLE,
     _SLACK,
     _distances,
+    _draw_links,
     _pick_gateways,
     _worst_interference,
     generate_topology,
@@ -451,6 +452,100 @@ class TestGeneratorMatchesReference:
         for seed in range(5):
             self.assert_same_mesh(TopologyParams(
                 2, area=area, gateway_count=1, rng_seed=seed))
+
+
+def with_half_word(seed, half):
+    """A PCG64 seeded ``seed`` whose next 32-bit draw is ``half``, taken
+    from the unused half-word numpy keeps in its state."""
+    bits = np.random.PCG64(seed)
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = 1, half
+    bits.state = state
+    return bits
+
+
+class TestGeneratorDraws:
+    """The radio and link draws equal the Generator calls they stand for,
+    value for value, and leave the same state behind."""
+
+    RADIO_SEEDS = range(6)
+
+    @staticmethod
+    def radio_twin(seed, n):
+        """A Generator seeded ``seed`` that has made the position draws of
+        an ``n``-node mesh, so its next draws are the radios'."""
+        twin = np.random.default_rng(seed)
+        twin.uniform(size=2 * n)
+        return twin
+
+    @pytest.mark.parametrize("seed", RADIO_SEEDS)
+    def test_radios_match_choice_without_replacement(self, seed):
+        n = 60
+        twin = self.radio_twin(seed, n)
+        want = [tuple(sorted(int(c) + 1 for c in twin.choice(
+                    NUM_CHANNELS, size=RADIOS_PER_NODE, replace=False)))
+                for _ in range(n)]
+        topo = generate_topology(TopologyParams(n, gateway_count=1,
+                                                rng_seed=seed))
+        assert [node.radios for node in topo.nodes] == want
+
+    def test_radio_cases_include_a_collision(self):
+        # Floyd's second draw equals the first for about one node in 11 and
+        # then takes the top channel; the cases above must hold such nodes.
+        collisions = 0
+        for seed in self.RADIO_SEEDS:
+            twin = self.radio_twin(seed, 60)
+            for _ in range(60):
+                a = twin.integers(0, NUM_CHANNELS - 1)
+                collisions += twin.integers(0, NUM_CHANNELS) == a
+                twin.integers(0, 2)
+        assert collisions
+
+    @staticmethod
+    def reference_links(generator, pools):
+        channels, unit = [], []
+        for pool in pools:
+            channels.append(int(generator.choice(pool)))
+            unit.append([generator.random() for _ in range(4)])
+        return channels, unit
+
+    @pytest.mark.parametrize("seed, buffered",
+                             itertools.product(range(4), [0, 1]))
+    def test_link_draws_match_the_generator(self, seed, buffered):
+        # Pools of 1, 2 and 4 channels in random order, so bounded draws
+        # start on either half of a word and end with or without a spare
+        # half-word to hand back.
+        rng = random.Random(seed)
+        pools = [sorted(rng.sample(range(1, NUM_CHANNELS + 1),
+                                   rng.choice([1, 2, 4])))
+                 for _ in range(rng.randint(200, 300))]
+        half = rng.getrandbits(32)
+        make = ((lambda: with_half_word(seed, half)) if buffered
+                else (lambda: np.random.PCG64(seed)))
+        bits, twin = make(), make()
+        channels, unit = _draw_links(bits, pools)
+        want_channels, want_unit = self.reference_links(
+            np.random.Generator(twin), pools)
+        assert channels == want_channels
+        assert unit.tolist() == want_unit
+        assert bits.state == twin.state
+
+    @pytest.mark.parametrize("buffered", [0, 1])
+    def test_a_pool_of_one_draws_only_its_weights(self, buffered):
+        # A link whose ends share one channel draws no channel, so a
+        # half-word the state holds still waits for the next bounded draw.
+        make = ((lambda: with_half_word(5, 7)) if buffered
+                else (lambda: np.random.PCG64(5)))
+        bits, twin = make(), make()
+        before = bits.state
+        channels, unit = _draw_links(bits, [[3], [9], [1]])
+        assert channels == [3, 9, 1]
+        assert ((bits.state["has_uint32"], bits.state["uinteger"])
+                == (before["has_uint32"], before["uinteger"]))
+        generator = np.random.Generator(twin)
+        assert unit.tolist() == [[generator.random() for _ in range(4)]
+                                 for _ in range(3)]
+        assert bits.state == twin.state
 
 
 class TestWorstInterference:
