@@ -3,7 +3,9 @@ wireless mesh graphs via a hybrid PSO-GA metaheuristic.
 
 The package root holds the library API that README's Library section
 lists; operators, constants and helpers are imported from their modules.
-numpy is the only runtime dependency."""
+numpy is the only runtime dependency.  Importing the package loads none:
+the generator, the simulator and the continuous solver import it when they
+first run, so routing on a stored mesh never does."""
 
 from .topology import (Link, MeshTopology, Node, TopologyError,
                        TopologyParams, generate_topology, validate_path)

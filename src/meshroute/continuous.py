@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .topology import is_finite
 # The generation structure is the route solver's: its elite share, PSO share
 # and mutation chance are used here too.
 from .routing import BREED_RATIO, ELITE_FRACTION, MUTATION_RATE
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PHI1 = PHI2 = 0.5
 MUTATION_SIGMA_FRAC = 0.01
@@ -79,6 +81,7 @@ def pso_step(particle: RealParticle, gbest_position: np.ndarray,
     dimensions.  Positions are clamped to the bounds with the velocity
     zeroed on any clamped dimension.
     """
+    import numpy as np
     r1 = rng.uniform()
     r2 = rng.uniform()
     v = (config.w * particle.velocity
@@ -109,6 +112,7 @@ def run_continuous(objective, config: ContinuousConfig,
     for VPAC crossover with light Gaussian mutation.  Returns the best
     position, its value, and the per-iteration incumbent trace.
     """
+    import numpy as np
     rng = np.random.default_rng(config.rng_seed)
     lo = np.array([b[0] for b in config.bounds])
     hi = np.array([b[1] for b in config.bounds])

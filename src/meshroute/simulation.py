@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .qos import InvalidPathError, PenaltyCoeffs, QosRequest
 from .routing import HybridConfig, RunResult, run
 from .topology import MeshTopology, validate_path
@@ -48,6 +46,7 @@ def simulate_path(topo: MeshTopology, path: list[int],
     avg_delay is computed over delivered packets only and is NaN when
     nothing gets through.
     """
+    import numpy as np
     if not validate_path(topo, path, require_gateway=False):
         raise InvalidPathError(f"cannot simulate invalid path: {path}")
     table = topo.link_table

@@ -16,8 +16,10 @@ stops it at its target, as does a repair stitch: a solver run keeps one
 suspended search per stitch origin, which the mesh does not keep (stitch),
 so each run pays for the stitches it asks for.  The gateways' row ranks
 the mesh's candidate sources once, and the mesh keeps that ranking
-(ranked_sources) for every benchmark source pick.  numpy (used by the
-generator) is the only third-party dependency.
+(ranked_sources) for every benchmark source pick.  numpy is the only
+third-party dependency, and only the generator uses it: each generating
+function imports it when first called, so reading a stored mesh and
+querying it never load numpy.
 
 The generator places nodes with numpy's uniform draws, draws every node's
 radios in one integers() call, and decodes each link's channel and weights
@@ -39,8 +41,10 @@ from array import array
 from collections.abc import Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Normalized interference vs channel separation for 2.4 GHz partially
 # overlapping channels: co-channel is worst, >= 5 apart is orthogonal.
@@ -271,11 +275,12 @@ class MeshTopology:
                      for v in nbrs if u < v)
 
     def has_node(self, u: int) -> bool:
-        """True iff ``u`` is a node id: a plain or numpy integer, not a
-        bool, from 0 to n-1."""
+        """True iff ``u`` is a node id: an integral number (numpy's
+        integers are registered as numbers.Integral), not a bool, from 0 to
+        n-1."""
         if type(u) is int:
             return 0 <= u < len(self.nodes)
-        return (isinstance(u, (int, np.integer)) and not isinstance(u, bool)
+        return (isinstance(u, numbers.Integral) and not isinstance(u, bool)
                 and 0 <= u < len(self.nodes))
 
     @cached_property
@@ -567,6 +572,7 @@ _SLACK = 1.0 + 1e-9
 def _distances(ax: np.ndarray, ay: np.ndarray,
                bx: np.ndarray, by: np.ndarray) -> np.ndarray:
     """Euclidean distance between every point a and every point b."""
+    import numpy as np
     return np.hypot(ax[:, None] - bx[None, :], ay[:, None] - by[None, :])
 
 
@@ -607,6 +613,7 @@ def _worst_interference(links: Sequence[tuple[int, int, int]],
 
 def _pick_gateways(positions: np.ndarray, count: int,
                    rng: np.random.Generator) -> list[int]:
+    import numpy as np
     # Spread gateways over the deployment via a short k-means on node
     # positions; each gateway is the node nearest a cluster center.
     n = len(positions)
@@ -646,6 +653,7 @@ def _draw_links(bits: np.random.PCG64,
     per node give pools of 1, 2 or 4, and Lemire's method never rejects a
     range that divides 2**32.
     """
+    import numpy as np
     state = bits.state
     buffered, half = state["has_uint32"], state["uinteger"]
     halves = sum(len(pool) > 1 for pool in pools)
@@ -681,6 +689,7 @@ def generate_topology(params: TopologyParams) -> MeshTopology:
     synthetic, exempt from the range constraint).  Per-link interference is
     the worst channel overlap against any link sharing an endpoint.
     """
+    import numpy as np
     # default_rng(seed) builds exactly this; the link draws below decode
     # PCG64's raw words.
     rng = np.random.Generator(np.random.PCG64(params.rng_seed))

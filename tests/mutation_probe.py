@@ -69,8 +69,8 @@ MUTANTS = [
      "forbidden = set(ctx.gateways) - {path[k - 1], path[k + 1]}"),
     ("has_node accepts a bool",
      "src/meshroute/topology.py",
-     "isinstance(u, (int, np.integer)) and not isinstance(u, bool)",
-     "isinstance(u, (int, np.integer))"),
+     "isinstance(u, numbers.Integral) and not isinstance(u, bool)",
+     "isinstance(u, numbers.Integral)"),
     ("dedupe never stops retrying",
      "src/meshroute/routing.py",
      "retries = 0",
@@ -203,6 +203,14 @@ MUTANTS = [
      "src/meshroute/topology.py",
      "if at_u[channel] > 1 or at_v[channel] > 1:",
      "if at_u[channel] > 1:"),
+    ("topology imports numpy at module level",
+     "src/meshroute/topology.py",
+     "from dataclasses import dataclass\n",
+     "from dataclasses import dataclass\n\nimport numpy as np\n"),
+    ("simulation imports numpy at module level",
+     "src/meshroute/simulation.py",
+     "from dataclasses import dataclass\n",
+     "from dataclasses import dataclass\n\nimport numpy as np\n"),
 ]
 
 # Equivalent edits, not run, each with the reason it cannot be told apart:

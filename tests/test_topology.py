@@ -857,10 +857,11 @@ class TestNodeIds:
     # has_node once checked only the range: shortest_path(0, True) returned
     # [0, 19, 18, 15, 3, 20, 13, 2, True], and gateway_path(1.5) raised
     # TypeError.
-    @pytest.mark.parametrize("node", [True, False, 1.0, 1.5, "1", None, -1,
-                                      25],
-                             ids=["true", "false", "float", "fraction", "str",
-                                  "none", "negative", "out-of-range"])
+    @pytest.mark.parametrize("node", [True, False, np.bool_(True), 1.0, 1.5,
+                                      "1", None, -1, 25],
+                             ids=["true", "false", "numpy-bool", "float",
+                                  "fraction", "str", "none", "negative",
+                                  "out-of-range"])
     def test_non_node_id_rejected(self, node):
         topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
         assert topo.has_node(node) is False
@@ -872,9 +873,10 @@ class TestNodeIds:
             with pytest.raises(TopologyError):
                 query()
 
-    def test_numpy_integer_accepted(self):
+    @pytest.mark.parametrize("one", [np.int64(1), np.uint8(1)],
+                             ids=["int64", "uint8"])
+    def test_numpy_integer_accepted(self, one):
         topo = generate_topology(TopologyParams(node_count=25, rng_seed=0))
-        one = np.int64(1)
         assert topo.has_node(one)
         assert (topo.link_table[one][2] is topo.link_table[2][one]
                 is topo.link_table[1][2])
