@@ -283,7 +283,14 @@ def cmd_bench(args) -> int:
         overrides["seeds_per_cell"] = args.seeds
     if args.seed is not None:
         overrides["base_seed"] = args.seed
-    run_bench(replace(plan, **overrides), args.out_dir, workers=args.workers)
+    plan = replace(plan, **overrides)
+    # Made before the sweep, so an unusable directory costs no solve.
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write {args.out_dir}: {exc}", file=sys.stderr)
+        return 1
+    run_bench(plan, args.out_dir, workers=args.workers)
     print(f"wrote benchmark tables to {args.out_dir}")
     return 0
 

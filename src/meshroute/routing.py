@@ -102,10 +102,10 @@ class RouteContext:
     """Per-run bundle of topology, source and QoS demand; routes end at the
     topology's gateways.
 
-    The context holds the source's cost row for the merge, each route's
-    fitness, and the run's own stitch searches, which repair passes to
-    MeshTopology.stitch.  All three live as long as the context, which is
-    one run.
+    The context holds the source's cost row for the merge, built here for
+    this run alone, each route's fitness, and the run's own stitch
+    searches, which repair passes to MeshTopology.stitch.  All three live
+    as long as the context, which is one run; the mesh keeps none of them.
     """
 
     def __init__(self, topo: MeshTopology, source: int,

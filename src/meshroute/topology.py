@@ -10,16 +10,16 @@ its neighboring links.
 The graph is held in plain per-node tuples and neighbour-to-link dicts built
 once at construction.  Shortest paths come from one resumable heapq Dijkstra
 over dense distance/predecessor lists that yields each node as it settles.
-Rows read whole run it to the end and are cached on the mesh as compact
-arrays per source tuple: one node, or all gateways together.  A path query
-stops it at its target, as does a repair stitch: a solver run keeps one
-suspended search per stitch origin, which the mesh does not keep (stitch),
-so each run pays for the stitches it asks for.  The gateways' row ranks
-the mesh's candidate sources once, and the mesh keeps that ranking
-(ranked_sources) for every benchmark source pick.  numpy is the only
-third-party dependency, and only the generator uses it: each generating
-function imports it when first called, so reading a stored mesh and
-querying it never load numpy.
+Rows read whole run it to the end.  The mesh caches one such tree, the
+one from all gateways together; a source's cost row is built afresh for
+each caller, which owns it.  A path query stops the search at its target,
+as does a repair stitch: a solver run keeps one suspended search per stitch
+origin, which the mesh does not keep (stitch), so each run pays for the
+stitches it asks for.  The gateways' row ranks the mesh's candidate sources
+once, and the mesh keeps that ranking (ranked_sources) for every benchmark
+source pick.  numpy is the only third-party dependency, and only the
+generator uses it: each generating function imports it when first called,
+so reading a stored mesh and querying it never load numpy.
 
 The generator places nodes with numpy's uniform draws, draws every node's
 radios in one integers() call, and decodes each link's channel and weights
@@ -37,7 +37,6 @@ import heapq
 import json
 import math
 import numbers
-from array import array
 from collections.abc import Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
@@ -214,8 +213,9 @@ class MeshTopology:
     that the gateway set is a non-empty set of nodes, and that the range is
     a finite positive number.  It does not check connectivity: see
     gateway_costs().  The instance is then safe to share across threads:
-    it caches only what every run reads alike (cost rows, trap links, the
-    source ranking), and each run keeps its own stitch searches (stitch).
+    it caches only what no query's source changes (the gateway tree, trap
+    links, the source ranking), and each run keeps its own source row and
+    stitch searches.
     """
 
     def __init__(self, nodes: list[Node], links: list[Link],
@@ -256,10 +256,6 @@ class MeshTopology:
             tuple([(v, link.cost) for v, link in t.items()]) for t in table)
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(t)) for t in table)
-        # Dijkstra trees by source tuple: (node,) for one node's, and the
-        # gateways in ascending id order for theirs.
-        self._trees: dict[tuple[int, ...], tuple[array, array]] = {}
-        self._gateway_key = tuple(sorted(self.gateways))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -332,23 +328,24 @@ class MeshTopology:
                     heappush(heap, (nd, pushes, v))
                     pushes += 1
 
-    def _tree(self, sources: tuple[int, ...]) -> tuple[array, array]:
-        # Cached trees are flat double/long arrays: a list of distances
-        # holds a pointer and a 24-byte float object per node, an array the
-        # 8-byte double alone.
-        tree = self._trees.get(sources)
-        if tree is None:
-            n = len(self.nodes)
-            dist, pred = [UNREACHABLE] * n, [-1] * n
-            for _ in self._search(sources, dist, pred):
-                pass
-            tree = self._trees[sources] = (array("d", dist), array("l", pred))
-        return tree
+    def _tree(self, sources: Iterable[int]) -> tuple[list[float], list[int]]:
+        """The full Dijkstra tree from ``sources``: fresh dist and pred."""
+        n = len(self.nodes)
+        dist, pred = [UNREACHABLE] * n, [-1] * n
+        for _ in self._search(sources, dist, pred):
+            pass
+        return dist, pred
+
+    @cached_property
+    def _gateway_tree(self) -> tuple[list[float], list[int]]:
+        # Ascending ids fix how equal-cost ties break (gateway_path).
+        return self._tree(sorted(self.gateways))
 
     def gateway_costs(self) -> Sequence[float]:
         """Per node, the least link-cost sum to its nearest gateway, or
-        UNREACHABLE; the cached row itself: read it, never modify it."""
-        return self._tree(self._gateway_key)[0]
+        UNREACHABLE; the mesh's one cached row itself: read it, never
+        modify it."""
+        return self._gateway_tree[0]
 
     def gateway_path(self, node: int) -> list[int] | None:
         """A least-cost path from ``node`` to its nearest gateway, or None.
@@ -357,7 +354,7 @@ class MeshTopology:
         that tree lead back to the nearest gateway."""
         if not self.has_node(node):
             raise TopologyError("unknown node id")
-        dist, pred = self._tree(self._gateway_key)
+        dist, pred = self._gateway_tree
         if dist[node] == UNREACHABLE:
             return None
         return _trace(pred, node)
@@ -436,9 +433,9 @@ class MeshTopology:
             raise TopologyError("unknown node id")
         return self._tree((source,))[0][target]
 
-    def shortest_path_costs(self, source: int) -> Sequence[float]:
+    def shortest_path_costs(self, source: int) -> list[float]:
         """shortest_path_cost from ``source`` to every node, indexed by node
-        id.  This is the cached row itself: read it, never modify it."""
+        id: a new row on every call, which the caller owns."""
         if not self.has_node(source):
             raise TopologyError("unknown node id")
         return self._tree((source,))[0]

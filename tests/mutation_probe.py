@@ -105,8 +105,12 @@ MUTANTS = [
      "p1 if raw1 == p2 else"),
     ("the gateway tree starts from the gateways in set order",
      "src/meshroute/topology.py",
-     "self._gateway_key = tuple(sorted(self.gateways))",
-     "self._gateway_key = tuple(self.gateways)"),
+     "return self._tree(sorted(self.gateways))",
+     "return self._tree(self.gateways)"),
+    ("source rows are cached",
+     "src/meshroute/topology.py",
+     "    def shortest_path_costs(",
+     '    @__import__("functools").cache\n    def shortest_path_costs('),
     ("is_finite lets an int too large for a float through",
      "src/meshroute/topology.py",
      "    except OverflowError:\n        return False",

@@ -123,10 +123,11 @@ def attainment_times_ms(results, best_known: float) -> dict:
 def sweep():
     """SWEEP's instances by size.  Runs share no stitch search, so each
     algorithm's clock pays for the stitches it asks for; the gateway tree
-    comes with source selection, and the source's cost row and the trap
-    links are built before the first run's clock starts.  Cyclic GC is off
-    while an instance is solved, as timeit does, so no collection of the
-    whole test process's heap is timed as part of a solve."""
+    comes with source selection, the trap links are built before the first
+    run's clock starts, and each run builds its own source cost row before
+    its clock starts.  Cyclic GC is off while an instance is solved, as
+    timeit does, so no collection of the whole test process's heap is timed
+    as part of a solve."""
     instances = {size: [] for size in SWEEP.node_sizes}
     for size, solved in instances.items():
         for i in range(SWEEP.seeds_per_cell):

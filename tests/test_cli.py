@@ -276,6 +276,24 @@ class TestBench:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("nested", [False, True],
+                             ids=["path-is-a-file", "path-under-a-file"])
+    def test_unusable_out_dir_errors_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch, nested):
+        # Both once solved every instance and then raised from makedirs.
+        def run_cell(*args):
+            raise AssertionError("the sweep ran")
+        monkeypatch.setattr(cli, "run_cell", run_cell)
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out_dir = blocker / "out" if nested else blocker
+        rc = main(["bench", "--sizes", "12", "--seeds", "1",
+                   "--out-dir", str(out_dir)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {out_dir}: ")
+        assert blocker.read_text() == ""
+
     def test_summary_delay_is_the_cell_mean(self, tmp_path):
         # Delays 1, 2 and 6 ms: the mean is 3, the median 2.
         fit = FitnessBreakdown(objective=2.0, penalty=0.0, total=2.0,

@@ -283,11 +283,11 @@ class TestStitch:
             self.assert_stitches_match(island_mesh(), pairs)
 
     @pytest.mark.parametrize("algorithm", routing.ALGORITHMS)
-    def test_run_caches_only_the_source_row_and_the_gateway_tree(
+    def test_a_run_leaves_only_source_independent_caches_on_the_mesh(
             self, monkeypatch, algorithm):
-        # Besides those two rows, a run leaves on the mesh only the cached
-        # properties that source selection, the coefficients and the run's
-        # context read before its clock starts; its stitches stay with it.
+        # A run leaves on the mesh only the cached properties that source
+        # selection, the coefficients and the run's context read before its
+        # clock starts; its source row and its stitches stay with it.
         stitches = Counter()
         stitch = MeshTopology.stitch
 
@@ -302,7 +302,6 @@ class TestStitch:
         run(topo, source, REQ, PenaltyCoeffs.for_request(REQ, topo),
             HybridConfig(rng_seed=1, algorithm=algorithm))
         assert len(stitches) > 1
-        assert set(topo._trees) == {(source,), topo._gateway_key}
         cached = {name for name, attr in vars(MeshTopology).items()
                   if isinstance(attr, functools.cached_property)}
         assert set(vars(topo)) == set(before) | cached
@@ -313,7 +312,7 @@ class TestStitch:
         # Each run on the shared mesh returns what it returns on a fresh
         # copy, and settles as many nodes in its searches there: no run
         # reads search work that an earlier run on the mesh paid for.  Both
-        # meshes have the source row and the gateway tree built first.
+        # meshes have the gateway tree built first.
         settles = Counter()
         search = MeshTopology._search
 
@@ -326,13 +325,11 @@ class TestStitch:
         params = TopologyParams(node_count=125, rng_seed=0)
         shared = generate_topology(params)
         source = default_source(shared, 0.75)
-        shared.shortest_path_costs(source)
         coeffs = PenaltyCoeffs.for_request(REQ, shared)
         for seed in (1, 2):
             for algorithm in routing.ALGORITHMS:
                 fresh = generate_topology(params)
                 fresh.gateway_costs()
-                fresh.shortest_path_costs(source)
                 settles.clear()
                 config = HybridConfig(rng_seed=seed, algorithm=algorithm)
                 runs = [without_wall_times(run(topo, source, REQ, coeffs,
@@ -346,8 +343,7 @@ class TestStitch:
             self, monkeypatch, index):
         # Each algorithm of a 125-node bench cell settles as many nodes in
         # its searches when the plan lists it last as when it lists it
-        # first.  The source row is built before each run, as its clock
-        # starts only after it.
+        # first.
         settles, current = Counter(), []
         search, solve = MeshTopology._search, cli.run
 
@@ -357,7 +353,6 @@ class TestStitch:
                 yield node
 
         def timed_run(topo, source, req, coeffs, config):
-            topo.shortest_path_costs(source)
             current[:] = [config.algorithm]
             return solve(topo, source, req, coeffs, config)
 

@@ -1,3 +1,4 @@
+import copy
 import heapq
 import itertools
 import json
@@ -675,6 +676,29 @@ class TestShortestPath:
                 topo.shortest_path_cost(s, t) for t in range(4)]
         with pytest.raises(TopologyError):
             topo.shortest_path_costs(4)
+
+    def test_cost_rows_belong_to_their_caller(self):
+        # Each call builds a new row for its caller to keep or write into;
+        # the mesh keeps none, so every node's row leaves it as it was.
+        # With one gateway, that gateway's row holds the gateway tree's
+        # costs, so writing into it must leave gateway_costs() alone.
+        topo = generate_topology(TopologyParams(node_count=25,
+                                                gateway_count=1, rng_seed=0))
+        gateway_costs = list(topo.gateway_costs())
+        before = dict(vars(topo))
+        snapshot = copy.deepcopy(before)
+        rows = [topo.shortest_path_costs(s) for s in range(topo.node_count)]
+        assert vars(topo) == snapshot
+        assert all(vars(topo)[name] is value for name, value in before.items())
+        pristine = [list(row) for row in rows]
+        for s, row in enumerate(rows):
+            again = topo.shortest_path_costs(s)
+            assert again == row and again is not row
+            for t in range(topo.node_count):
+                row[t] = -1.0
+        assert [list(topo.shortest_path_costs(s))
+                for s in range(topo.node_count)] == pristine
+        assert list(topo.gateway_costs()) == gateway_costs
 
     def test_avoid_forces_detour(self):
         topo = make_topo(4, {(0, 1): {}, (1, 3): {}, (0, 2): {"cost": 5.0},
